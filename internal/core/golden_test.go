@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -28,13 +29,19 @@ var updateGolden = flag.Bool("update-golden", false, "regenerate testdata/solver
 //	go test ./internal/core -run TestSolverOutputGolden -update-golden
 func TestSolverOutputGolden(t *testing.T) {
 	type instance struct {
-		name string
-		in   func() Input
+		name  string
+		in    func() Input
+		modes []string // nil runs every mode
 	}
 	instances := []instance{
-		{"paper", func() Input { return paperInput(t) }},
-		{"census-good", func() Input { return censusInput(t, 60, 24, true, false) }},
-		{"census-bad", func() Input { return censusInput(t, 60, 24, false, false) }},
+		{"paper", func() Input { return paperInput(t) }, nil},
+		{"census-good", func() Input { return censusInput(t, 60, 24, true, false) }, nil},
+		{"census-bad", func() Input { return censusInput(t, 60, 24, false, false) }, nil},
+		// Partition sizes past 256 rows: all 18 partitions hold 279–359
+		// rows and about 100 vertices take fresh colors.
+		{"census-large", func() Input { return censusInput(t, 2000, 60, true, false) }, []string{"hybrid", "input-order"}},
+		// One global conflict graph of 1833 rows and 441k edges.
+		{"census-600", func() Input { return censusInput(t, 600, 60, true, false) }, []string{"no-partition"}},
 	}
 	modes := []struct {
 		name string
@@ -53,6 +60,9 @@ func TestSolverOutputGolden(t *testing.T) {
 	got := make(map[string]string)
 	for _, inst := range instances {
 		for _, mode := range modes {
+			if inst.modes != nil && !slices.Contains(inst.modes, mode.name) {
+				continue
+			}
 			for _, seed := range []int64{1, 7, 42} {
 				opt := mode.opt
 				opt.Seed = seed
