@@ -266,7 +266,10 @@ func runBatch(n, workers, unit, nCC int, seed int64, asJSON bool) {
 // spliced), and delta re-solves (row edits / CC bound nudges relative to
 // the base). Output is `go test -bench`-shaped lines so the existing
 // .github/bench_to_json.sh turns it into BENCH_incr.json; the speedup
-// versus the cold median rides along as an extra metric.
+// versus the cold median rides along as an extra metric, and the edit and
+// append lanes also print their fewest spliced partitions over all
+// iterations next to the most partitions any iteration colored — a
+// deterministic measure of memo reuse that timing noise cannot move.
 func runIncr(iters, unit, nCC int, seed int64) {
 	if unit <= 0 {
 		unit = 1000
@@ -301,6 +304,19 @@ func runIncr(iters, unit, nCC int, seed int64) {
 			return
 		}
 		fmt.Printf("%-28s %8d %12d ns/op\n", name, iters, med.Nanoseconds())
+	}
+	// reuse tracks a delta lane's fewest spliced partitions and most
+	// partitions over its iterations.
+	type reuse struct{ minSpliced, parts int }
+	track := func(r *reuse, i int, st linksynth.Stats) {
+		if i == 0 || st.SplicedPartitions < r.minSpliced {
+			r.minSpliced = st.SplicedPartitions
+		}
+		r.parts = max(r.parts, st.Partitions)
+	}
+	reportReuse := func(name string, med, cold time.Duration, r reuse) {
+		fmt.Printf("%-28s %8d %12d ns/op %12.2f speedup-vs-cold %8d min-spliced %8d partitions\n",
+			name, iters, med.Nanoseconds(), float64(cold)/float64(med), r.minSpliced, r.parts)
 	}
 
 	cold := median(func(int) {
@@ -360,31 +376,37 @@ func runIncr(iters, unit, nCC int, seed int64) {
 	if len(band) == 0 {
 		fatal("-incr: no band rows in generated instance")
 	}
+	var editReuse reuse
 	deltaEdit := median(func(i int) {
 		r1, r2 := band[(i*7)%len(band)], band[(i*13+3)%len(band)]
 		de := incr.Delta{R1Edits: []incr.CellEdit{
 			{Row: r1, Col: "Age", Val: linksynth.Int(in.R1.Value(r1, "Age").Int() + int64(1+i%2))},
 			{Row: r2, Col: "Age", Val: linksynth.Int(in.R1.Value(r2, "Age").Int() - int64(1+i%2))},
 		}}
-		if _, _, err := sess.Resolve(de); err != nil {
+		res, _, err := sess.Resolve(de)
+		if err != nil {
 			fatal("-incr delta edit: %v", err)
 		}
+		track(&editReuse, i, res.Stats)
 	})
-	report("BenchmarkIncrDeltaEdit", deltaEdit, cold)
+	reportReuse("BenchmarkIncrDeltaEdit", deltaEdit, cold, editReuse)
 
 	// Delta workload 2: row insertions. Appended rows sort after every
 	// existing row in the fill order, so existing partitions splice and
 	// only the partitions receiving new rows recolor.
+	var appendReuse reuse
 	deltaAppend := median(func(i int) {
 		ap := incr.Delta{R1Appends: [][]linksynth.Value{
 			{linksynth.Int(int64(900000 + i)), linksynth.String("Member"),
 				linksynth.Int(int64(45 + i%15)), linksynth.Int(int64(i % 2)), linksynth.Null()},
 		}}
-		if _, _, err := sess.Resolve(ap); err != nil {
+		res, _, err := sess.Resolve(ap)
+		if err != nil {
 			fatal("-incr delta append: %v", err)
 		}
+		track(&appendReuse, i, res.Stats)
 	})
-	report("BenchmarkIncrDeltaAppend", deltaAppend, cold)
+	reportReuse("BenchmarkIncrDeltaAppend", deltaAppend, cold, appendReuse)
 
 	// Delta workload 3: a CC bound nudged (the Ntarget-shift shape). This
 	// shifts the phase-1 fill globally, so fewer partitions splice than
@@ -650,8 +672,8 @@ func printExplain(ex *obsv.ExplainReport) {
 		fmt.Printf("  phase %-10s %v\n", ph.Name, time.Duration(ph.DurNS).Round(time.Microsecond))
 	}
 	p := ex.Partitions
-	fmt.Printf("  partitions: count=%d rows min/mean/max=%d/%.1f/%d invalid=%d\n",
-		p.Count, p.MinRows, p.MeanRows, p.MaxRows, p.InvalidRows)
+	fmt.Printf("  partitions: count=%d rows min/mean/max=%d/%.1f/%d invalid=%d matrix_bytes=%d\n",
+		p.Count, p.MinRows, p.MeanRows, p.MaxRows, p.InvalidRows, p.MatrixBytes)
 	if ex.ILP.Vars > 0 {
 		fmt.Printf("  ilp: vars=%d rows=%d nodes=%d iters=%d status=%s\n",
 			ex.ILP.Vars, ex.ILP.Rows, ex.ILP.Nodes, ex.ILP.Iters, ex.ILP.Status)

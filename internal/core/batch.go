@@ -10,10 +10,10 @@ import (
 
 // SolveBatch solves many C-Extension instances over one shared bounded
 // worker pool, amortizing scheduling across the whole workload: whole
-// instances fan out first, and each instance's parallel stages (Hasse
-// subtrees, ILP blocks, partition coloring) reuse any pool capacity the
-// instance mix leaves free. opt applies to every instance; opt.Workers is
-// the parallelism target for the whole batch, not for one instance (the
+// instances fan out first, and each instance's parallel stages (ILP
+// blocks, partition coloring) reuse any pool capacity the instance mix
+// leaves free. opt applies to every instance; opt.Workers is the
+// parallelism target for the whole batch, not for one instance (the
 // pool's inline-fallback rule means it is approximate, not a hard CPU cap
 // — see internal/sched).
 //

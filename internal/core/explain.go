@@ -96,7 +96,7 @@ func (p *prob) buildExplain() *obsv.ExplainReport {
 	}
 
 	parts, invalid := p.partitions()
-	ep := obsv.ExplainPartitions{Count: len(parts), InvalidRows: len(invalid)}
+	ep := obsv.ExplainPartitions{Count: len(parts), InvalidRows: len(invalid), MatrixBytes: p.matrixBytes}
 	total := 0
 	for i, pt := range parts {
 		n := len(pt.rows)

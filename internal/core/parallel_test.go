@@ -30,9 +30,8 @@ func resultFingerprint(res *Result) [3]string {
 // TestParallelMatchesSequential pins the determinism claim end to end: for
 // several seeds, instance shapes, and solver modes, running with a worker
 // pool (fixed size and GOMAXPROCS) produces output byte-identical to the
-// sequential path across R̂1, R̂2, and V_Join — covering the parallel phase-1
-// Hasse fan-out, the block-decomposed ILP, and the streamed phase-2
-// coloring.
+// sequential path across R̂1, R̂2, and V_Join — covering the
+// block-decomposed ILP and the streamed phase-2 coloring.
 func TestParallelMatchesSequential(t *testing.T) {
 	type instance struct {
 		name string

@@ -5,54 +5,18 @@ import (
 	"repro/internal/hasse"
 )
 
-// hasseExec is one execution context for Algorithm 2. In direct mode
-// (base nil) assignments write straight into the shared problem state; in
-// speculative mode the executor reads a shared immutable snapshot of the
-// fill state plus its own small assignment overlay, recording proposals to
-// be merged — or discarded and replayed — in canonical order by
-// runHasseParallel. Sharing one snapshot keeps speculation memory
-// O(rows + proposals) instead of O(subtrees × rows).
-type hasseExec struct {
-	p         *prob
-	base      []int        // shared read-only fill snapshot; nil reads/writes p directly
-	mine      map[int]bool // rows this execution has assigned
-	proposals []fillProp
-}
-
-// fillProp is one speculative (row, combo) assignment.
-type fillProp struct{ row, combo int }
-
-func (e *hasseExec) filled(i int) bool {
-	if e.base != nil {
-		return len(e.p.usedBCols) == 0 || e.base[i] >= 0 || e.mine[i]
-	}
-	return e.p.filled(i)
-}
-
-func (e *hasseExec) assign(i, c int) {
-	if e.base != nil {
-		e.mine[i] = true
-		e.proposals = append(e.proposals, fillProp{row: i, combo: c})
-		return
-	}
-	e.p.assignCombo(i, c)
-}
-
 // runHasse is Algorithm 2: complete V_Join for a set of non-intersecting
 // CCs organized in a Hasse forest. ccIdx lists the CC indices (into
 // p.in.CCs) participating; forest was built over exactly those CCs in the
 // same order. Shortfalls (fewer available tuples than a target) are
-// tolerated; they surface later as CC error. With a worker pool attached
-// the independent maximal subtrees run concurrently.
+// tolerated; they surface later as CC error. It runs serially even with a
+// worker pool: maximal subtrees can compete for the same unfilled rows, so
+// a concurrent fill would need speculation and ordered replay, and phase I
+// is too small a share of a solve to repay that.
 func (p *prob) runHasse(ccIdx []int, forest *hasse.Forest) {
-	if p.pool != nil {
-		p.runHasseParallel(ccIdx, forest)
-		return
-	}
-	e := &hasseExec{p: p}
 	for _, d := range forest.Diagrams {
 		for _, m := range d.Maximal {
-			e.solveDiagram(ccIdx, forest, m)
+			p.solveDiagram(ccIdx, forest, m)
 		}
 	}
 }
@@ -60,15 +24,15 @@ func (p *prob) runHasse(ccIdx []int, forest *hasse.Forest) {
 // solveDiagram processes the sub-diagram rooted at local node `node`
 // bottom-up: children first (recursively), then the remaining tuples of the
 // root's own target.
-func (e *hasseExec) solveDiagram(ccIdx []int, forest *hasse.Forest, node int) {
+func (p *prob) solveDiagram(ccIdx []int, forest *hasse.Forest, node int) {
 	children := forest.Children[node]
 	for _, c := range children {
-		e.solveDiagram(ccIdx, forest, c)
+		p.solveDiagram(ccIdx, forest, c)
 	}
 	cc := ccIdx[node]
-	need := e.p.in.CCs[cc].Target
+	need := p.in.CCs[cc].Target
 	for _, c := range children {
-		need -= e.p.in.CCs[ccIdx[c]].Target
+		need -= p.in.CCs[ccIdx[c]].Target
 	}
 	if need <= 0 {
 		return
@@ -79,7 +43,7 @@ func (e *hasseExec) solveDiagram(ccIdx []int, forest *hasse.Forest, node int) {
 	for _, c := range children {
 		avoidR1 = append(avoidR1, ccIdx[c])
 	}
-	e.fillForCC(cc, need, avoidR1)
+	p.fillForCC(cc, need, avoidR1)
 }
 
 // fillForCC assigns up to need unfilled V_Join tuples a combo that
@@ -87,8 +51,7 @@ func (e *hasseExec) solveDiagram(ccIdx []int, forest *hasse.Forest, node int) {
 // avoiding the full predicates of the listed CCs. Candidate tuples come
 // from the columnar index (posting-list driven for equality atoms) in
 // ascending row order — the same visit order as a full scan.
-func (e *hasseExec) fillForCC(cc int, need int64, avoid []int) {
-	p := e.p
+func (p *prob) fillForCC(cc int, need int64, avoid []int) {
 	if need <= 0 {
 		return
 	}
@@ -109,7 +72,7 @@ func (e *hasseExec) fillForCC(cc int, need int64, avoid []int) {
 	assigned := int64(0)
 	comboCursor := 0
 	p.colView.SelectFunc(p.ccR1b[cc][0], func(i int) bool {
-		if e.filled(i) {
+		if p.filled(i) {
 			return true
 		}
 		// Pick the first combo that avoids every child predicate for this
@@ -126,7 +89,7 @@ func (e *hasseExec) fillForCC(cc int, need int64, avoid []int) {
 		if chosen < 0 {
 			return true
 		}
-		e.assign(i, chosen)
+		p.assignCombo(i, chosen)
 		assigned++
 		return assigned < need
 	})

@@ -121,6 +121,7 @@ func (p *prob) runPhase2() (*phase2, error) {
 	parts, invalid := p.partitions()
 	p.stat.InvalidTuples = len(invalid)
 
+	p.matrixBytes = p.conflictMatrixBytes(parts)
 	if p.opt.RandomFK {
 		ph.assignRandom(parts, invalid)
 		return ph, nil
@@ -143,6 +144,25 @@ func (p *prob) runPhase2() (*phase2, error) {
 		ph.solveInvalidTuples(invalid)
 	}
 	return ph, nil
+}
+
+// conflictMatrixBytes is the adjacency-matrix memory of the conflict graphs
+// phase II builds over parts — one per partition, one over every row under
+// NoPartition, none for RandomFK — known before any graph is allocated.
+func (p *prob) conflictMatrixBytes(parts []partition) int64 {
+	if p.opt.RandomFK {
+		return 0
+	}
+	var total int64
+	rows := 0
+	for _, pt := range parts {
+		total += hypergraph.MatrixBytes(len(pt.rows))
+		rows += len(pt.rows)
+	}
+	if p.opt.NoPartition {
+		return hypergraph.MatrixBytes(rows)
+	}
+	return total
 }
 
 // partitionKeys returns the candidate FK values for a partition: the keys
@@ -302,13 +322,7 @@ func (ph *phase2) colorGlobal(parts []partition) error {
 		}
 	}
 	allowed := func(v int) []int { return idxByCombo[rowCombo[v]] }
-	coloring := hypergraph.NewColoring(len(rows))
-	var skipped []int
-	if p.opt.Order == OrderInput {
-		coloring, skipped = g.ColoringInputOrder(coloring, allowed)
-	} else {
-		coloring, skipped = g.ColoringLF(coloring, allowed)
-	}
+	coloring, skipped := p.colorGraph(g, hypergraph.NewColoring(len(rows)), allowed)
 	p.stat.SkippedVertices += len(skipped)
 	if len(skipped) > 0 {
 		freshByCombo := make(map[int][]int)
@@ -318,13 +332,7 @@ func (ph *phase2) colorGlobal(parts []partition) error {
 			freshByCombo[ck] = append(freshByCombo[ck], len(palette)-1)
 		}
 		allowedFresh := func(v int) []int { return freshByCombo[rowCombo[v]] }
-		var left []int
-		if p.opt.Order == OrderInput {
-			coloring, left = g.ColoringInputOrder(coloring, allowedFresh)
-		} else {
-			coloring, left = g.ColoringLF(coloring, allowedFresh)
-		}
-		if len(left) > 0 {
+		if _, left := p.colorGraph(g, coloring, allowedFresh); len(left) > 0 {
 			return fmt.Errorf("core: phase 2 (global): %d vertices uncolorable", len(left))
 		}
 		used := make(map[int]bool)
@@ -347,6 +355,15 @@ func (ph *phase2) colorGlobal(parts []partition) error {
 		ph.keyRows[key] = append(ph.keyRows[key], ri)
 	}
 	return nil
+}
+
+// colorGraph runs Algorithm 3 over g in the configured visit order:
+// largest-first, or index order for the OrderInput ablation.
+func (p *prob) colorGraph(g *hypergraph.Graph, c hypergraph.Coloring, allowed func(int) []int) (hypergraph.Coloring, []int) {
+	if p.opt.Order == OrderInput {
+		return g.ColoringInputOrder(c, allowed)
+	}
+	return g.ColoringLF(c, allowed)
 }
 
 // appendR2Tuple adds a fresh household to R̂2: the minted key, the

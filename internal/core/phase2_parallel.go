@@ -85,13 +85,7 @@ func (ph *phase2) colorPart(pt partition) coloredPart {
 		baseIdx[i] = i
 	}
 	allowed := func(int) []int { return baseIdx }
-	coloring := hypergraph.NewColoring(len(pt.rows))
-	var skipped []int
-	if p.opt.Order == OrderInput {
-		coloring, skipped = g.ColoringInputOrder(coloring, allowed)
-	} else {
-		coloring, skipped = g.ColoringLF(coloring, allowed)
-	}
+	coloring, skipped := p.colorGraph(g, hypergraph.NewColoring(len(pt.rows)), allowed)
 	return coloredPart{graph: g, palette: palette, coloring: coloring, skipped: skipped}
 }
 
@@ -115,13 +109,7 @@ func (ph *phase2) finishPart(pt partition, r coloredPart, memo *solveMemo) error
 			freshIdx[i] = len(palette) - 1
 		}
 		allowedFresh := func(int) []int { return freshIdx }
-		var left []int
-		if p.opt.Order == OrderInput {
-			coloring, left = r.graph.ColoringInputOrder(coloring, allowedFresh)
-		} else {
-			coloring, left = r.graph.ColoringLF(coloring, allowedFresh)
-		}
-		if len(left) > 0 {
+		if _, left := p.colorGraph(r.graph, coloring, allowedFresh); len(left) > 0 {
 			return fmt.Errorf("core: phase 2: %d vertices uncolorable with %d fresh colors", len(left), len(r.skipped))
 		}
 		usedFresh := make(map[int]bool)

@@ -17,10 +17,11 @@ import (
 // sequential) for Workers 0 or 1, a GOMAXPROCS-sized pool for negative
 // Workers, and an exactly-sized pool otherwise. A pool that resolves to a
 // single worker (GOMAXPROCS=1) is collapsed to nil so single-core hosts
-// take the true sequential path instead of paying speculation overhead for
-// zero parallelism. It is the single source of the parallelism policy:
-// the incremental engine derives session pools through it, so a session
-// solve and a cold Solve of the same Options always parallelize alike.
+// run phase-II partitions and ILP blocks inline instead of handing each to
+// one worker goroutine for zero parallelism. It is the single source of
+// the parallelism policy: the incremental engine derives session pools
+// through it, so a session solve and a cold Solve of the same Options
+// always parallelize alike.
 //
 //lint:ctxflow PoolFor only constructs the pool; the caller owns its lifecycle, and cancellation applies to solves, not to pool construction
 func PoolFor(opt Options) *sched.Pool {

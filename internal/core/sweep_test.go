@@ -80,9 +80,15 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 			}
 		}
 		got := make(map[[2]int]bool)
-		for i := 0; i < g.NumEdges(); i++ {
-			e := g.Edge(i)
-			got[[2]int{e[0], e[1]}] = true
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				if g.HasPair(a, b) {
+					got[[2]int{a, b}] = true
+				}
+			}
+		}
+		if g.NumEdges() != len(got) {
+			t.Fatalf("trial %d (%s): NumEdges %d, %d pairs", trial, src, g.NumEdges(), len(got))
 		}
 		if len(got) != len(want) {
 			t.Fatalf("trial %d (%s): %d edges, want %d", trial, src, len(got), len(want))

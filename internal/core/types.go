@@ -92,8 +92,8 @@ type Options struct {
 	// Order selects the coloring vertex order.
 	Order ColorOrder
 	// Workers bounds the shared worker pool that parallelizes the whole
-	// pipeline: phase I runs independent Hasse subtrees and per-block ILP
-	// subproblems concurrently, and phase II streams partitions' conflict
+	// pipeline: phase I runs per-block ILP subproblems concurrently (the
+	// Hasse fill stays serial), and phase II streams partitions' conflict
 	// hypergraphs into a coloring pool as they are discovered (the Appendix
 	// A.3 optimization). SolveBatch schedules whole instances over the same
 	// pool. 0 or 1 runs sequentially; negative uses GOMAXPROCS. Output is
@@ -179,6 +179,10 @@ type prob struct {
 	// reads the wall clock in exactly one audited place and trace data
 	// stays out of Stats, fingerprints, and solver decisions.
 	trace *obsv.Trace
+
+	// matrixBytes is the adjacency-matrix size of the conflict graphs the
+	// last phase II colored, kept for the explain report only.
+	matrixBytes int64
 
 	aCols     []string // R1 non-key attribute columns
 	bCols     []string // R2 non-key attribute columns

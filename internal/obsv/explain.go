@@ -87,6 +87,10 @@ type ExplainPartitions struct {
 	MaxRows     int     `json:"max_rows"`
 	MeanRows    float64 `json:"mean_rows"`
 	InvalidRows int     `json:"invalid_rows"` // rows no unused combo could complete
+	// MatrixBytes is the conflict-graph adjacency memory phase II sizes
+	// from the partitions: Σ n·⌈n/64⌉·8 over the colored graphs (one graph
+	// over every row under no-partition, none for the random-FK baselines).
+	MatrixBytes int64 `json:"matrix_bytes"`
 }
 
 // ExplainILP carries Algorithm 1's effort counters.

@@ -1,8 +1,8 @@
 // Package sched provides the bounded worker pool shared by every parallel
-// stage of the solver: the phase-1 Hasse subtree fan-out, the per-block ILP
-// solves, the phase-2 partition-coloring stream, and SolveBatch instance
-// scheduling. A single Pool bounds the concurrency of a solve (or a whole
-// batch of solves) regardless of how many stages are in flight.
+// stage of the solver: the per-block ILP solves, the phase-2
+// partition-coloring stream, and SolveBatch instance scheduling. A single
+// Pool bounds the concurrency of a solve (or a whole batch of solves)
+// regardless of how many stages are in flight.
 //
 // The pool is deadlock-free under nesting: a task that cannot obtain a slot
 // runs inline on the submitting goroutine instead of queueing. A batch
