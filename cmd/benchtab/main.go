@@ -9,7 +9,7 @@
 //	benchtab -unit 982 -ccs 200 -scales 1,2,5,10   # closer to paper scale
 //	benchtab -batch 8 -workers -1                  # batched multi-instance workload
 //	benchtab -batch 8 -json                        # machine-readable Stats breakdown
-//	benchtab -incr -iters 11                       # cold vs warm-plan vs delta re-solve
+//	benchtab -incr -iters 11                       # cold vs warm-session vs delta re-solve
 //	benchtab -trace                                # one traced solve, span timeline printed
 //	benchtab -batch 8 -cpuprofile cpu.pprof -memprofile mem.pprof  # profile the run
 //
@@ -54,7 +54,7 @@ func main() {
 	largeScales := flag.String("large-scales", "", "scales for fig11b")
 	seed := flag.Int64("seed", 1, "seed")
 	batch := flag.Int("batch", 0, "solve this many instances via SolveBatch instead of running experiments")
-	incr := flag.Bool("incr", false, "benchmark cold vs warm-plan vs delta re-solve on a repeated-structure workload")
+	incr := flag.Bool("incr", false, "benchmark cold vs warm-session vs delta re-solve on a repeated-structure workload")
 	storeBench := flag.Bool("store", false, "benchmark durable-store restart shapes: cold start vs warm restart vs mapped-snapshot load")
 	traceRun := flag.Bool("trace", false, "solve one instance under a trace and print its span timeline")
 	explainRun := flag.Bool("explain", false, "solve one instance and print its EXPLAIN cost report (implies -trace)")
@@ -261,9 +261,8 @@ func runBatch(n, workers, unit, nCC int, seed int64, asJSON bool) {
 }
 
 // runIncr is the repeated-structure serving workload: one census instance
-// solved cold, then re-solved through the incremental engine — warm plan
-// (new session, cached classification), warm session (zero delta, fully
-// spliced), and delta re-solves (row edits / CC bound nudges relative to
+// solved cold, then re-solved through the incremental engine — warm
+// session (zero delta, fully spliced) and delta re-solves (row edits / CC bound nudges relative to
 // the base). Output is `go test -bench`-shaped lines so the existing
 // .github/bench_to_json.sh turns it into BENCH_incr.json; the speedup
 // versus the cold median rides along as an extra metric, and the edit and
@@ -326,28 +325,7 @@ func runIncr(iters, unit, nCC int, seed int64) {
 	})
 	report("BenchmarkIncrCold", cold, 0)
 
-	eng := incr.NewEngine(64)
-	if _, _, _, err := eng.PlanFor(in, opt); err != nil { // warm the plan cache
-		fatal("-incr compile plan: %v", err)
-	}
-	fp, err := linksynth.Fingerprint(in, opt)
-	if err != nil {
-		fatal("-incr fingerprint: %v", err)
-	}
-	warmPlan := median(func(int) {
-		// The serving shape: the request's content fingerprint is already
-		// computed (it is the cache key), so the session opens keyed.
-		sess, err := eng.OpenKeyed(in, opt, nil, fp)
-		if err != nil {
-			fatal("-incr open: %v", err)
-		}
-		if _, err := sess.Solve(); err != nil {
-			fatal("-incr warm-plan solve: %v", err)
-		}
-	})
-	report("BenchmarkIncrWarmPlan", warmPlan, cold)
-
-	sess, err := eng.Open(in, opt, nil)
+	sess, err := incr.Open(in, opt, nil)
 	if err != nil {
 		fatal("-incr open: %v", err)
 	}
@@ -426,7 +404,7 @@ func runIncr(iters, unit, nCC int, seed int64) {
 // instance from nothing (no durable state); warm restart replays the full
 // recovery path the daemon takes — open the store, load the session record,
 // materialize both relation snapshots, verify the content fingerprint,
-// adopt the persisted plan, open the session, solve; mapped load isolates
+// open the session, solve; mapped load isolates
 // the state-materialization share of that (snapshot decode + verify, no
 // solve); persist is the write side the persister goroutine pays off the
 // request path. Output is `go test -bench`-shaped lines for
@@ -485,14 +463,6 @@ func runStore(iters, unit, nCC int, seed int64) {
 	if err != nil {
 		fatal("-store fingerprint: %v", err)
 	}
-	eng := incr.NewEngine(64)
-	sess, err := eng.OpenKeyed(in, opt, nil, fp)
-	if err != nil {
-		fatal("-store open: %v", err)
-	}
-	if _, err := sess.Solve(); err != nil {
-		fatal("-store prime solve: %v", err)
-	}
 	seedStore, err := store.Open(dir)
 	if err != nil {
 		fatal("-store open store: %v", err)
@@ -507,9 +477,9 @@ func runStore(iters, unit, nCC int, seed int64) {
 			fatal("-store put R2: %v", err)
 		}
 		rec := &store.SessionRecord{
-			BaseFP: fp, SFP: sess.StructuralFingerprint(), R1FP: r1fp, R2FP: r2fp,
+			BaseFP: fp, R1FP: r1fp, R2FP: r2fp,
 			K1: in.K1, K2: in.K2, FK: in.FK, Opt: opt,
-			CCs: in.CCs, DCs: in.DCs, Plan: sess.Plan(),
+			CCs: in.CCs, DCs: in.DCs,
 		}
 		if err := st.PutSession(rec); err != nil {
 			fatal("-store put session: %v", err)
@@ -553,9 +523,8 @@ func runStore(iters, unit, nCC int, seed int64) {
 	report("BenchmarkStoreMappedLoad", mappedLoad, cold)
 
 	// Warm restart: the daemon's full per-session recovery path in a fresh
-	// "process" (new store handle, new engine) — load the record, materialize
-	// both snapshots, verify the content fingerprint, adopt the plan, open
-	// the session. No solve: a restored session serves its previously cached
+	// "process" (new store handle) — load the record, materialize both
+	// snapshots, verify the content fingerprint, open the session. No solve: a restored session serves its previously cached
 	// deltas from the byte cache with zero solver work, so this is the whole
 	// restart cost for replayed traffic. The speedup column is the claim —
 	// restoring is this many times cheaper than re-solving the base.
@@ -581,9 +550,7 @@ func runStore(iters, unit, nCC int, seed int64) {
 		if err != nil || got != fp {
 			fatal("-store restored fingerprint mismatch (err %v)", err)
 		}
-		reng := incr.NewEngine(64)
-		reng.AdoptPlan(rec.Plan)
-		rsess, err := reng.OpenKeyed(rin, rec.Opt, nil, fp)
+		rsess, err := incr.OpenKeyed(rin, rec.Opt, nil, fp)
 		if err != nil {
 			fatal("-store reopen: %v", err)
 		}
@@ -593,7 +560,7 @@ func runStore(iters, unit, nCC int, seed int64) {
 	report("BenchmarkStoreWarmRestart", warmRestart, cold)
 
 	// First solve a restored session runs — a delta never seen before the
-	// restart. The adopted plan makes it a warm-plan solve, not a cold one.
+	// restart. It compiles the problem cold.
 	restored := make([]*incr.Session, iters)
 	for i := range restored {
 		restored[i] = restore()

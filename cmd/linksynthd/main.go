@@ -1,9 +1,11 @@
 // Command linksynthd serves the C-Extension solver over HTTP with a
 // content-addressed result cache and a durable store: identical instances
 // are solved once and served byte-identically from the cache thereafter —
-// including across restarts when -data-dir is set, in which case warm
-// solver sessions are also persisted and revived, so previously seen
-// {base, delta} traffic restarts with zero cold solves.
+// including across restarts when -data-dir is set, in which case solver
+// sessions are also persisted and revived: previously seen {base, delta}
+// traffic restarts with zero solver runs, and a new delta against a
+// restored base compiles cold from the restored session instead of
+// answering 404.
 //
 // Usage:
 //
@@ -14,7 +16,7 @@
 //
 //	data/cache      append-only result-cache log (cache.aol)
 //	data/snapshots  content-addressed columnar relation snapshots (*.snap)
-//	data/sessions   session records: constraints, options, plan (*.sess)
+//	data/sessions   session records: snapshot references, constraints, options (*.sess)
 //
 // -cache-dir is the pre-durable-store spelling of the same root and is kept
 // as an alias; a legacy flat cache.aol at the root is migrated into
@@ -83,7 +85,6 @@ func main() {
 	maxBody := flag.Int64("max-body", 32<<20, "maximum request body bytes (413 beyond that)")
 	queue := flag.Int("queue", 64, "bound on queued solves and pending async jobs (503 beyond that)")
 	sessions := flag.Int("sessions", 64, "warm solver sessions retained for incremental delta re-solves (LRU beyond that)")
-	plans := flag.Int("plans", 128, "compiled structural plans retained (LRU beyond that)")
 	peers := flag.String("peers", "", "comma-separated seed list of cluster node URLs (empty = single-node)")
 	join := flag.String("join", "", "URL of an existing cluster member to announce this node to (requires -advertise; combinable with -peers)")
 	replicas := flag.Int("replicas", 0, "ring-successors each solved key is asynchronously replicated to for warm failover (0 = no replication)")
@@ -177,7 +178,6 @@ func main() {
 		Cluster:        clu,
 		Replicas:       *replicas,
 		SessionEntries: *sessions,
-		PlanEntries:    *plans,
 		Store:          st,
 		FlightEntries:  *flightEntries,
 	})

@@ -338,7 +338,6 @@ func printExplain(body []byte, hdr http.Header) {
 			} `json:"solver"`
 			Service struct {
 				CacheHitRatio float64 `json:"cache_hit_ratio"`
-				PlanHitRatio  float64 `json:"plan_hit_ratio"`
 			} `json:"service"`
 		} `json:"explain"`
 	}
@@ -357,8 +356,7 @@ func printExplain(body []byte, hdr http.Header) {
 			e.Solver.Mode, e.Solver.ViewRows, e.Solver.Combos,
 			e.Solver.CCsToHasse, e.Solver.CCsToILP, e.Solver.Partitions.Count)
 	}
-	fmt.Printf("  service at %s: cache_hit_ratio=%.2f plan_hit_ratio=%.2f\n",
-		e.Node, e.Service.CacheHitRatio, e.Service.PlanHitRatio)
+	fmt.Printf("  service at %s: cache_hit_ratio=%.2f\n", e.Node, e.Service.CacheHitRatio)
 	fmt.Println()
 }
 

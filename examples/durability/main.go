@@ -3,9 +3,9 @@
 // kill -9'd (no graceful shutdown), and a fresh process over the same
 // directory answers the replayed delta byte-identically — zero solver runs,
 // zero cold solves — because the result cache log, the columnar relation
-// snapshots, and the session record (constraints, options, compiled plan)
-// all survived. A delta never seen before the crash also solves warm: the
-// restored session carries the persisted plan.
+// snapshots, and the session record (snapshot references, constraints,
+// options) all survived. A delta never seen before the crash also solves,
+// without a 404: the restored session compiles its problem cold once.
 //
 // A real deployment is just `linksynthd -data-dir /var/lib/linksynth`; see
 // the README's "Durability & restarts" section.
@@ -137,14 +137,14 @@ func main() {
 	fmt.Printf("  %s\n", metricLine(nd2.url, "linksynthd_incr_cold_solves_total"))
 	fmt.Printf("  %s\n\n", metricLine(nd2.url, "linksynthd_store_sessions_restored_total"))
 
-	// A delta the first process never saw: solved, but warm — the restored
-	// session adopted the persisted plan.
+	// A delta the first process never saw: the restored session compiles
+	// its problem once and solves it.
 	fresh := service.SolveRequest{Base: base.Key, Delta: &service.DeltaJSON{
 		R1Edits: []service.CellEditJSON{{Row: 1, Col: "Age", Val: 33}},
 	}}
 	_, hdr = post(nd2.url+"/v1/solve", fresh)
 	fmt.Printf("POST /v1/solve (new delta)  -> incr %-8s\n", hdr.Get("X-Linksynth-Incr"))
-	fmt.Printf("  %s (still zero)\n", metricLine(nd2.url, "linksynthd_incr_cold_solves_total"))
+	fmt.Printf("  %s (the one compile)\n", metricLine(nd2.url, "linksynthd_incr_cold_solves_total"))
 
 	nd2.srv.Close()
 }

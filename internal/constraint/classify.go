@@ -24,10 +24,6 @@ const (
 	RelIntersecting
 )
 
-// ValidRelationship reports whether r is one of the defined relationship
-// values; used when decoding persisted classification matrices.
-func ValidRelationship(r Relationship) bool { return r <= RelIntersecting }
-
 func (r Relationship) String() string {
 	switch r {
 	case RelDisjoint:

@@ -121,7 +121,6 @@ func (p *prob) buildExplain() *obsv.ExplainReport {
 		Status: stat.ILPStatus,
 	}
 	rep.Reuse = obsv.ExplainReuse{
-		PlanReused:        stat.PlanReused,
 		ProbReused:        stat.ProbReused,
 		SplicedPartitions: stat.SplicedPartitions,
 		ConflictEdges:     stat.ConflictEdges,

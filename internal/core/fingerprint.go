@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/constraint"
 	"repro/internal/table"
@@ -106,65 +105,8 @@ func writeBool(w io.Writer, b bool) {
 	}
 }
 
-// structuralVersion tags the canonical structural encoding; bump it whenever
-// the encoding (or anything the compiled plan depends on) changes shape.
-const structuralVersion = "linksynth-sfp-v1"
-
-// StructuralFingerprint returns the SHA-256 address of an instance's
-// *structure*: the schemas, key/FK wiring, canonical constraint sets, and
-// all output-relevant Options — with the row data excluded. It is the key
-// of the compiled-plan cache: two instances share a structural fingerprint
-// iff the expensive data-independent compilation artifacts (CC pairwise
-// classification, hybrid split, Hasse forest shape) are interchangeable
-// between them.
-//
-// Unlike Fingerprint, the encoding is canonicalized for order: schema
-// columns are hashed as a sorted (name, type) set and constraints are
-// hashed as sorted canonical renders, so declaring columns or constraints
-// in a different order yields the same key. It stays sensitive to anything
-// that changes the compiled structure or the solve semantics: constraint
-// predicates and bounds (targets), the key/FK column names, and every
-// output-relevant Option (mode, order, seed, ILP budgets). Relation names
-// and rows are excluded.
-func StructuralFingerprint(in Input, opt Options) ([32]byte, error) {
-	var key [32]byte
-	if in.R1 == nil || in.R2 == nil {
-		return key, fmt.Errorf("core: structural fingerprint: nil relation")
-	}
-	h := sha256.New()
-	writeString(h, structuralVersion)
-	writeString(h, in.K1)
-	writeString(h, in.K2)
-	writeString(h, in.FK)
-	writeSchemaSet(h, in.R1.Schema())
-	writeSchemaSet(h, in.R2.Schema())
-
-	ccs := canonicalCCRenders(in.CCs)
-	writeUint(h, uint64(len(ccs)))
-	for _, s := range ccs {
-		writeString(h, s)
-	}
-	dcs := make([]string, len(in.DCs))
-	for i, dc := range in.DCs {
-		dc.Name = ""
-		dcs[i] = constraint.RenderDC(dc)
-	}
-	sort.Strings(dcs)
-	writeUint(h, uint64(len(dcs)))
-	for _, s := range dcs {
-		writeString(h, s)
-	}
-
-	writeOptions(h, opt)
-
-	h.Sum(key[:0])
-	return key, nil
-}
-
-// writeOptions hashes every output-relevant Options field — shared by
-// Fingerprint and StructuralFingerprint so the two keys can never drift in
-// option sensitivity. Workers is deliberately absent (the pool size never
-// changes the output).
+// writeOptions hashes every output-relevant Options field. Workers is
+// deliberately absent (the pool size never changes the output).
 func writeOptions(w io.Writer, opt Options) {
 	writeUint(w, uint64(opt.Mode))
 	writeBool(w, opt.NoMarginals)
@@ -175,30 +117,4 @@ func writeOptions(w io.Writer, opt Options) {
 	writeUint(w, uint64(opt.ILP.MaxNodes))
 	writeUint(w, uint64(opt.ILP.MaxIters))
 	writeUint(w, uint64(opt.ILP.TimeLimit))
-}
-
-// writeSchemaSet hashes a schema as an order-independent set of
-// (name, type) pairs.
-func writeSchemaSet(w io.Writer, s *table.Schema) {
-	cols := make([]string, s.Len())
-	for j := 0; j < s.Len(); j++ {
-		c := s.Col(j)
-		cols[j] = fmt.Sprintf("%s\x00%d", c.Name, c.Type)
-	}
-	sort.Strings(cols)
-	writeUint(w, uint64(len(cols)))
-	for _, c := range cols {
-		writeString(w, c)
-	}
-}
-
-// canonicalCCRenders returns the name-elided DSL render of every CC, sorted.
-func canonicalCCRenders(ccs []constraint.CC) []string {
-	out := make([]string, len(ccs))
-	for i, cc := range ccs {
-		cc.Name = ""
-		out[i] = constraint.RenderCC(cc)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -80,12 +80,11 @@ var errSpliceDiverged = errors.New("core: spliced partition diverged from fresh-
 // solver consumes no randomness outside the baselines' RandomFK paths
 // (which disable splicing entirely).
 //
-// plan, when non-nil and matching, supplies the CC classification for cold
-// builds. pool follows SolveOn semantics (nil = sequential).
+// pool follows SolveOn semantics (nil = sequential).
 //
 //lint:ctxflow non-cancellable convenience wrapper; SolveSessionContext is the serving-path entry
-func SolveSession(in Input, opt Options, st *SessionState, ch Changes, plan *Plan, pool *sched.Pool) (*Result, error) {
-	return SolveSessionContext(nil, in, opt, st, ch, plan, pool)
+func SolveSession(in Input, opt Options, st *SessionState, ch Changes, pool *sched.Pool) (*Result, error) {
+	return SolveSessionContext(nil, in, opt, st, ch, pool)
 }
 
 // SolveSessionContext is SolveSession with cooperative cancellation
@@ -93,17 +92,17 @@ func SolveSession(in Input, opt Options, st *SessionState, ch Changes, plan *Pla
 // cancels). A canceled solve may have mutated the retained problem mid-way
 // through phase I, so the warm state is dropped before returning — the
 // session's next solve rebuilds cold, which is always correct.
-func SolveSessionContext(ctx context.Context, in Input, opt Options, st *SessionState, ch Changes, plan *Plan, pool *sched.Pool) (*Result, error) {
+func SolveSessionContext(ctx context.Context, in Input, opt Options, st *SessionState, ch Changes, pool *sched.Pool) (*Result, error) {
 	if st == nil {
 		st = NewSessionState()
 	}
-	res, err := solveSessionOnce(ctx, in, opt, st, ch, plan, pool)
+	res, err := solveSessionOnce(ctx, in, opt, st, ch, pool)
 	if errors.Is(err, errSpliceDiverged) {
 		// Defensive: replay disagreed with the recorded memo. Drop every
 		// warm artifact and answer from a cold solve, which is always
 		// correct.
 		st.Reset()
-		return solveSessionOnce(ctx, in, opt, st, Changes{Full: true}, plan, pool)
+		return solveSessionOnce(ctx, in, opt, st, Changes{Full: true}, pool)
 	}
 	if err != nil && ctxErr(ctx) != nil {
 		st.Reset()
@@ -111,7 +110,7 @@ func SolveSessionContext(ctx context.Context, in Input, opt Options, st *Session
 	return res, err
 }
 
-func solveSessionOnce(ctx context.Context, in Input, opt Options, st *SessionState, ch Changes, plan *Plan, pool *sched.Pool) (*Result, error) {
+func solveSessionOnce(ctx context.Context, in Input, opt Options, st *SessionState, ch Changes, pool *sched.Pool) (*Result, error) {
 	var stat Stats
 	tr := obsv.FromContext(ctx)
 	t0 := now()
@@ -123,7 +122,6 @@ func solveSessionOnce(ctx context.Context, in Input, opt Options, st *SessionSta
 			return nil, err
 		}
 		tr.Span("compile", t0, since(t0))
-		p.plan = plan
 		st.p, st.memos = p, nil
 	} else {
 		if err := p.applyChanges(in, opt, &stat, ch); err != nil {
@@ -136,7 +134,6 @@ func solveSessionOnce(ctx context.Context, in Input, opt Options, st *SessionSta
 				return nil, err
 			}
 			tr.Span("compile", t0, since(t0))
-			p.plan = plan
 			st.p = p
 		} else {
 			stat.ProbReused = true

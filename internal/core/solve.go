@@ -104,22 +104,13 @@ func (p *prob) canceled() error {
 }
 
 // classification returns the pairwise CC relationship matrix, computing it
-// on first use — from the attached plan's canonical matrix when it matches,
-// by direct classification otherwise — and caching it on the problem so
-// session re-solves never reclassify (the matrix depends only on constraint
-// predicates, which a session never changes).
+// on first use and caching it on the problem so session re-solves never
+// reclassify (the matrix depends only on constraint predicates, which a
+// session never changes).
 func (p *prob) classification() [][]constraint.Relationship {
-	if p.rel != nil {
-		return p.rel
+	if p.rel == nil {
+		p.rel = constraint.ClassifyAll(p.in.CCs, func(c string) bool { return p.isR2Col[c] })
 	}
-	if p.plan != nil {
-		if rel, ok := p.plan.relFor(p.in.CCs); ok {
-			p.rel = rel
-			p.planReused = true
-			return p.rel
-		}
-	}
-	p.rel = constraint.ClassifyAll(p.in.CCs, func(c string) bool { return p.isR2Col[c] })
 	return p.rel
 }
 
@@ -216,7 +207,6 @@ func (p *prob) run(t0 time.Time) (*Result, error) {
 		}
 	}
 	stat.Phase1 = since(tPhase1)
-	stat.PlanReused = p.planReused // set by classification() during phase I
 
 	// ---------- Phase II: complete R1.FK from V_Join and the DCs ----------
 	// runPhase2 records stat.Coloring itself (graph construction + coloring

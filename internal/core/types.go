@@ -149,7 +149,7 @@ type Stats struct {
 
 	// Incremental-solve diagnostics (the session / delta path; see
 	// SolveSession). All zero for a plain Solve.
-	PlanReused        bool // CC classification came from a compiled Plan
+	PlanReused        bool // always false; kept so the wire shape of Stats does not change
 	ProbReused        bool // the compiled problem was patched, not rebuilt
 	SplicedPartitions int  // phase-2 partitions spliced from the prior solve
 }
@@ -232,17 +232,14 @@ type prob struct {
 	intAccess map[string]func(int) (int64, bool)
 	dcColIdx  []int // V_Join column indices referenced by any DC atom
 
-	// Plan / session reuse state. plan (optional) supplies the pairwise CC
-	// classification without reclassifying; rel, split and forestAll cache
-	// the classification-derived artifacts across a session's re-solves
-	// (they depend only on constraint predicates, never on targets or row
-	// data). capture/prior/dirty drive the phase-2 memo machinery of
-	// session.go; all nil/false for a plain Solve.
-	plan       *Plan
-	planReused bool
-	rel        [][]constraint.Relationship
-	split      *hybridSplitState
-	forestAll  *hasse.Forest
+	// Session reuse state. rel, split and forestAll cache the
+	// classification-derived artifacts across a session's re-solves (they
+	// depend only on constraint predicates, never on targets or row data).
+	// capture/prior/dirty drive the phase-2 memo machinery of session.go;
+	// all nil/false for a plain Solve.
+	rel       [][]constraint.Relationship
+	split     *hybridSplitState
+	forestAll *hasse.Forest
 
 	capture  bool         // record a solveMemo during phase 2
 	priors   []*solveMemo // retained memos to splice from, newest first

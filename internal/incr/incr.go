@@ -1,9 +1,9 @@
-// Package incr is the incremental solve engine: it separates a solve into a
-// reusable plan (the compiled, data-independent problem structure, keyed by
-// core.StructuralFingerprint and cached in an LRU) and a warm session that
+// Package incr is the incremental solve engine: a warm session that
 // re-solves small deltas — a CC bound nudged, rows edited or appended —
-// against the retained compiled problem, splicing untouched phase-2
-// partitions from the previous solve.
+// against the compiled problem retained from its previous solve, splicing
+// untouched phase-2 partitions. The retained problem keeps phase I's
+// pairwise CC classification, so a session classifies its constraints once,
+// on its first solve, and never again.
 //
 // The correctness contract is strict: every warm or delta solve produces a
 // Result byte-identical to a cold core.Solve of the equivalent patched
@@ -22,9 +22,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
-	"repro/internal/cache"
 	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/obsv"
@@ -57,61 +55,6 @@ func (d Delta) IsZero() bool {
 	return len(d.CCTargets) == 0 && len(d.R1Edits) == 0 && len(d.R1Appends) == 0
 }
 
-// Engine owns the structural plan cache shared by its sessions. One engine
-// per process (or per server) is the intended shape; the zero value is not
-// usable, construct with NewEngine.
-type Engine struct {
-	plans     *cache.LRU[*core.Plan]
-	planHits  atomic.Uint64
-	planMiss  atomic.Uint64
-	openCount atomic.Uint64
-}
-
-// NewEngine returns an engine whose plan cache holds at most planEntries
-// compiled plans (<= 0 selects 128).
-func NewEngine(planEntries int) *Engine {
-	return &Engine{plans: cache.NewLRU[*core.Plan](planEntries, nil)}
-}
-
-// EngineStats is a snapshot of the engine's reuse counters.
-type EngineStats struct {
-	Plans        int
-	PlanHits     uint64
-	PlanMisses   uint64
-	SessionsOpen uint64 // sessions ever opened (not live; the caller owns lifetimes)
-}
-
-// Stats returns a snapshot of the engine's counters.
-func (e *Engine) Stats() EngineStats {
-	return EngineStats{
-		Plans:        e.plans.Len(),
-		PlanHits:     e.planHits.Load(),
-		PlanMisses:   e.planMiss.Load(),
-		SessionsOpen: e.openCount.Load(),
-	}
-}
-
-// PlanFor returns the compiled plan for the instance's structural
-// fingerprint, compiling and caching it on a miss. cached reports whether
-// the plan came from the cache — a freshly compiled plan is not "reuse".
-func (e *Engine) PlanFor(in core.Input, opt core.Options) (pl *core.Plan, sfp [32]byte, cached bool, err error) {
-	sfp, err = core.StructuralFingerprint(in, opt)
-	if err != nil {
-		return nil, sfp, false, err
-	}
-	if pl, ok := e.plans.Get(sfp); ok {
-		e.planHits.Add(1)
-		return pl, sfp, true, nil
-	}
-	e.planMiss.Add(1)
-	pl, err = core.CompilePlan(in, opt)
-	if err != nil {
-		return nil, sfp, false, err
-	}
-	e.plans.Put(sfp, pl)
-	return pl, sfp, false, nil
-}
-
 // cellKey addresses one R1 cell in the undo overlay.
 type cellKey struct {
 	row int
@@ -128,7 +71,6 @@ type cellKey struct {
 // working copy between deltas. A session is NOT safe for concurrent use;
 // serialize Solve/Resolve calls.
 type Session struct {
-	eng  *Engine
 	opt  core.Options
 	pool *sched.Pool
 
@@ -139,21 +81,17 @@ type Session struct {
 	prevTargets map[int]int64           // CC indices currently patched
 	prevAppends bool                    // the previous delta appended rows
 
-	state      *core.SessionState
-	plan       *core.Plan
-	planCached bool // the plan came from the cache, not compiled here
-	baseFP     [32]byte
-	sfp        [32]byte
-	solved     bool
+	state  *core.SessionState
+	baseFP [32]byte
+	solved bool
 }
 
-// Open validates the instance, compiles (or fetches) its structural plan,
-// and returns a session ready to Solve. pool, when non-nil, bounds the
-// solver's parallelism (core.SolveOn semantics); nil derives a pool from
-// opt.Workers.
+// Open validates the instance and returns a session ready to Solve. pool,
+// when non-nil, bounds the solver's parallelism (core.SolveOn semantics);
+// nil derives a pool from opt.Workers.
 //
 //lint:ctxflow opening only clones tables and stores the pool; no solver work runs until Solve/Resolve, whose Context variants carry cancellation
-func (e *Engine) Open(in core.Input, opt core.Options, pool *sched.Pool) (*Session, error) {
+func Open(in core.Input, opt core.Options, pool *sched.Pool) (*Session, error) {
 	if in.R1 == nil || in.R2 == nil {
 		return nil, fmt.Errorf("incr: nil relation")
 	}
@@ -161,18 +99,18 @@ func (e *Engine) Open(in core.Input, opt core.Options, pool *sched.Pool) (*Sessi
 	if err != nil {
 		return nil, err
 	}
-	return e.OpenKeyed(in, opt, pool, baseFP)
+	return OpenKeyed(in, opt, pool, baseFP)
 }
 
 // OpenKeyed is Open for callers that already computed the instance's full
 // content fingerprint (the serving layer fingerprints every request before
 // deciding to open a session); it skips recomputing it. Opening is cheap —
-// one R1 clone plus bookkeeping; the structural plan is fetched (or
-// compiled) lazily at the first solve, so a session can be parked behind a
-// cache hit without paying for classification it may never need.
+// one R1 clone plus bookkeeping; the problem is compiled at the first
+// solve, so a session can be parked behind a cache hit without paying for
+// classification it may never need.
 //
 //lint:ctxflow opening only clones tables and stores the pool; no solver work runs until Solve/Resolve, whose Context variants carry cancellation
-func (e *Engine) OpenKeyed(in core.Input, opt core.Options, pool *sched.Pool, baseFP [32]byte) (*Session, error) {
+func OpenKeyed(in core.Input, opt core.Options, pool *sched.Pool, baseFP [32]byte) (*Session, error) {
 	if in.R1 == nil || in.R2 == nil {
 		return nil, fmt.Errorf("incr: nil relation")
 	}
@@ -188,9 +126,8 @@ func (e *Engine) OpenKeyed(in core.Input, opt core.Options, pool *sched.Pool, ba
 	for i, cc := range in.CCs {
 		baseTargets[i] = cc.Target
 	}
-	e.openCount.Add(1)
 	return &Session{
-		eng: e, opt: opt, pool: pool,
+		opt: opt, pool: pool,
 		work: work, baseLen: work.R1.Len(), baseTargets: baseTargets,
 		overlay: make(map[cellKey]table.Value),
 		state:   core.NewSessionState(),
@@ -202,11 +139,6 @@ func (e *Engine) OpenKeyed(in core.Input, opt core.Options, pool *sched.Pool, ba
 // base instance — the key delta requests reference.
 func (s *Session) BaseFingerprint() [32]byte { return s.baseFP }
 
-// StructuralFingerprint returns the structural fingerprint of the most
-// recent solve's instance (the plan cache key); zero before the first
-// solve — the plan is resolved lazily.
-func (s *Session) StructuralFingerprint() [32]byte { return s.sfp }
-
 // Instance returns the session's working input: the base instance patched
 // by the most recently resolved delta. The returned value shares the
 // session's mutable state — read it only between calls (or while holding
@@ -215,7 +147,7 @@ func (s *Session) StructuralFingerprint() [32]byte { return s.sfp }
 // encoding a delta response.
 func (s *Session) Instance() core.Input { return s.work }
 
-// Solve solves the base instance: cold (plan-assisted) on the first call,
+// Solve solves the base instance: cold on the first call,
 // warm — fully spliced — on repeats. It also primes the warm state the
 // first Resolve builds on.
 func (s *Session) Solve() (*core.Result, error) {
@@ -248,21 +180,6 @@ func (s *Session) ResolveContext(ctx context.Context, d Delta) (*core.Result, [3
 		return nil, [32]byte{}, err
 	}
 	return s.resolve(ctx, d)
-}
-
-// Plan returns the session's resolved structural plan — nil until the first
-// cold solve resolves it. The serving layer persists it alongside parked
-// session state so a restarted process skips re-classification.
-func (s *Session) Plan() *core.Plan { return s.plan }
-
-// AdoptPlan inserts an externally obtained plan (e.g. one restored from the
-// durable store) into the engine's cache under its own structural key, so
-// sessions opened after a restart find it and classify as warm rather than
-// compiling cold.
-func (e *Engine) AdoptPlan(pl *core.Plan) {
-	if pl != nil {
-		e.plans.Put(pl.Key(), pl)
-	}
 }
 
 // PatchedFingerprint computes the full content fingerprint of the base
@@ -378,28 +295,10 @@ func (s *Session) resolve(ctx context.Context, d Delta) (*core.Result, [32]byte,
 	if !s.solved {
 		ch.Full = true
 	}
-	if ch.Full && s.plan == nil {
-		// Lazy plan resolution: compiled (or fetched) only when a cold
-		// build actually needs it. Failure is not fatal — the solver
-		// classifies directly.
-		if pl, sfp, cached, err := s.eng.PlanFor(s.work, s.opt); err == nil {
-			s.plan, s.sfp, s.planCached = pl, sfp, cached
-			if cached {
-				tr.Event("session: structural plan cache hit")
-			} else {
-				tr.Event("session: structural plan compiled")
-			}
-		}
-	}
-	res, err := core.SolveSessionContext(ctx, s.work, s.opt, s.state, ch, s.plan, s.pool)
+	res, err := core.SolveSessionContext(ctx, s.work, s.opt, s.state, ch, s.pool)
 	if res != nil {
-		tr.Event(fmt.Sprintf("session: solve reuse prob=%t plan=%t spliced=%d",
-			res.Stats.ProbReused, res.Stats.PlanReused, res.Stats.SplicedPartitions))
-	}
-	if res != nil && !s.planCached {
-		// The plan was compiled by this very session; classification was
-		// not reused from anywhere, whatever the solver's flag says.
-		res.Stats.PlanReused = false
+		tr.Event(fmt.Sprintf("session: solve reuse prob=%t spliced=%d",
+			res.Stats.ProbReused, res.Stats.SplicedPartitions))
 	}
 	if err != nil {
 		// The warm state may be stale; drop it so the next call runs cold.

@@ -121,7 +121,6 @@ func TestSessionDeltaEquivalence(t *testing.T) {
 		{"no-partition", core.Options{NoPartition: true}},
 		{"baseline", core.BaselineOptions(0)},
 	}
-	eng := NewEngine(16)
 	for _, inst := range instances {
 		for _, mode := range modes {
 			for _, seed := range []int64{1, 42} {
@@ -130,7 +129,7 @@ func TestSessionDeltaEquivalence(t *testing.T) {
 					opt.Seed = seed
 					rng := rand.New(rand.NewSource(seed * 31))
 
-					sess, err := eng.Open(inst.in, opt, nil)
+					sess, err := Open(inst.in, opt, nil)
 					if err != nil {
 						t.Fatalf("open: %v", err)
 					}
@@ -181,8 +180,7 @@ func TestSessionDeltaEquivalence(t *testing.T) {
 // the compiled problem must be patched rather than rebuilt.
 func TestSessionSplices(t *testing.T) {
 	in := censusInstance(60, 24, 11)
-	eng := NewEngine(4)
-	sess, err := eng.Open(in, core.Options{Seed: 1}, nil)
+	sess, err := Open(in, core.Options{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,55 +203,14 @@ func TestSessionSplices(t *testing.T) {
 	t.Logf("spliced %d of %d partitions", res.Stats.SplicedPartitions, res.Stats.Partitions)
 }
 
-// TestPlanCacheHit: two sessions over structurally identical instances with
-// different data share one compiled plan (plans resolve lazily at the
-// first solve).
-func TestPlanCacheHit(t *testing.T) {
-	eng := NewEngine(4)
-	a := censusInstance(40, 16, 11)
-	sa, err := eng.Open(a, core.Options{Seed: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Stats(); got.PlanMisses != 0 {
-		t.Fatalf("open should not compile a plan yet: stats %+v", got)
-	}
-	if _, err := sa.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Stats(); got.PlanMisses != 1 || got.PlanHits != 0 {
-		t.Fatalf("first solve: stats %+v", got)
-	}
-	// Same generator config and CC count → same constraint structure; a
-	// cell edit changes only the data.
-	b := censusInstance(40, 16, 11)
-	b.R1 = b.R1.Clone()
-	b.R1.Set(0, "Age", table.Int(33)) // different data, same structure
-	sb, err := eng.Open(b, core.Options{Seed: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sb.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Stats(); got.PlanHits != 1 {
-		t.Fatalf("second session's solve should hit the plan cache: stats %+v", got)
-	}
-	if !res.Stats.PlanReused {
-		t.Errorf("second session's solve did not mark PlanReused")
-	}
-}
-
 // TestReappendedRowsAreDirty pins the truncate-then-reappend hazard: two
 // consecutive deltas append different rows at the same recycled index; the
 // second resolve must not splice colorings computed against the first
 // append's values.
 func TestReappendedRowsAreDirty(t *testing.T) {
 	in := censusInstance(40, 16, 11)
-	eng := NewEngine(4)
 	opt := core.Options{Seed: 1}
-	sess, err := eng.Open(in, opt, nil)
+	sess, err := Open(in, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +243,7 @@ func TestReappendedRowsAreDirty(t *testing.T) {
 // TestDeltaValidation rejects malformed deltas.
 func TestDeltaValidation(t *testing.T) {
 	in := censusInstance(20, 8, 5)
-	eng := NewEngine(4)
-	sess, err := eng.Open(in, core.Options{Seed: 1}, nil)
+	sess, err := Open(in, core.Options{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +270,7 @@ func TestDeltaValidation(t *testing.T) {
 func TestPatchedFingerprint(t *testing.T) {
 	base := censusInstance(40, 12, 5)
 	opt := core.Options{Seed: 9}
-	eng := NewEngine(8)
-	s, err := eng.Open(base, opt, nil)
+	s, err := Open(base, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,53 +315,5 @@ func TestPatchedFingerprint(t *testing.T) {
 	// Invalid deltas are rejected without touching state.
 	if _, err := s.PatchedFingerprint(Delta{CCTargets: map[int]int64{999: 1}}); err == nil {
 		t.Fatal("out-of-range CC index accepted")
-	}
-}
-
-// TestAdoptPlan: a plan decoded from its binary form and adopted into a
-// fresh engine must serve the first solve as a cache hit (warm
-// classification), matching the original solve byte for byte.
-func TestAdoptPlan(t *testing.T) {
-	in := censusInstance(40, 12, 3)
-	opt := core.Options{Seed: 4}
-
-	eng1 := NewEngine(8)
-	s1, err := eng1.Open(in, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1, err := s1.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := s1.Plan()
-	if pl == nil {
-		t.Fatal("no plan after first solve")
-	}
-
-	enc := core.EncodePlan(pl)
-	restored, err := core.DecodePlan(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2 := NewEngine(8)
-	eng2.AdoptPlan(restored)
-	s2, err := eng2.Open(in, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := s2.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resultFingerprint(res1) != resultFingerprint(res2) {
-		t.Fatal("solve with adopted plan diverged")
-	}
-	st := eng2.Stats()
-	if st.PlanHits != 1 || st.PlanMisses != 0 {
-		t.Fatalf("adopted plan not hit: hits=%d misses=%d", st.PlanHits, st.PlanMisses)
-	}
-	if !res2.Stats.PlanReused {
-		t.Fatal("solve with adopted plan not classified as plan reuse")
 	}
 }

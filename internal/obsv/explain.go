@@ -105,7 +105,6 @@ type ExplainILP struct {
 // ExplainReuse reports how much warm state the solve reused (the session /
 // delta path; all zero for a cold solve).
 type ExplainReuse struct {
-	PlanReused        bool `json:"plan_reused"`
 	ProbReused        bool `json:"prob_reused"`
 	SplicedPartitions int  `json:"spliced_partitions"`
 	ConflictEdges     int  `json:"conflict_edges"`

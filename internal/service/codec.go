@@ -413,7 +413,7 @@ func encodeSolveBody(keyHex string, in core.Input, res *core.Result) ([]byte, er
 	st := res.Stats
 	st.Pairwise, st.Recursion, st.ILPTime, st.Coloring = 0, 0, 0, 0
 	st.Phase1, st.Phase2, st.Total = 0, 0, 0
-	st.PlanReused, st.ProbReused, st.SplicedPartitions = false, false, 0
+	st.ProbReused, st.SplicedPartitions = false, 0
 	body := SolveResponse{
 		Key: keyHex,
 		Result: ResultJSON{

@@ -12,7 +12,7 @@ import (
 // gains a trailing "explain" member: the solver's measured cost report
 // (when this request actually ran the solver) wrapped in the serving
 // context — which node answered, the trace id to quote at /debug/trace,
-// the cache disposition, and the node's cache/plan/session hit ratios.
+// the cache disposition, and the node's cache and session counters.
 //
 // The cached response bytes are never touched: the explain member is
 // spliced into a *copy* of the body at write time, after the cache and
@@ -33,11 +33,10 @@ type explainJSON struct {
 }
 
 // explainServiceJSON carries the answering node's warm-state ratios at
-// the time of the solve: how often its byte cache, compiled-plan cache,
-// and session store are hitting.
+// the time of the solve: how often its byte cache and session store are
+// hitting.
 type explainServiceJSON struct {
 	CacheHitRatio    float64 `json:"cache_hit_ratio"`
-	PlanHitRatio     float64 `json:"plan_hit_ratio"`
 	Sessions         int     `json:"sessions"`
 	CoalescedTotal   uint64  `json:"coalesced_total"`
 	SessionMissTotal uint64  `json:"session_misses_total"`
@@ -59,7 +58,6 @@ func wantExplain(r *http.Request) bool {
 // paths had none).
 func (s *Server) explainEnvelope(tr *obsv.Trace, status string) *explainJSON {
 	cs := s.cache.Stats()
-	es := s.engine.Stats()
 	return &explainJSON{
 		Node:    s.obs.Node,
 		TraceID: tr.ID(),
@@ -67,7 +65,6 @@ func (s *Server) explainEnvelope(tr *obsv.Trace, status string) *explainJSON {
 		Solver:  tr.Explain(),
 		Service: explainServiceJSON{
 			CacheHitRatio:    hitRatio(cs.Hits, cs.Misses),
-			PlanHitRatio:     hitRatio(es.PlanHits, es.PlanMisses),
 			Sessions:         s.sessions.Len(),
 			CoalescedTotal:   s.coalesced.Load(),
 			SessionMissTotal: s.sessionMisses.Load(),

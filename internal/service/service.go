@@ -74,9 +74,6 @@ type Config struct {
 	// incremental (delta) re-solves, LRU beyond that (<= 0 selects 64).
 	// Every locally solved sync instance leaves a session behind.
 	SessionEntries int
-	// PlanEntries bounds the compiled-plan cache shared by the sessions
-	// (<= 0 selects 128).
-	PlanEntries int
 	// Store, when non-nil, is the durable tier: parked sessions and their
 	// relation snapshots are persisted under it off the request path, warm
 	// state is restored from it after a restart, and peers may pull files
@@ -94,7 +91,6 @@ type Server struct {
 	cache      *cache.Cache
 	pool       *sched.Pool
 	clu        *cluster.Cluster // nil = single-node
-	engine     *incr.Engine
 	sessions   *cache.LRU[*svcSession]
 	wanted     *cache.LRU[struct{}] // bases recent deltas asked for but found no session
 	replicated *cache.LRU[struct{}] // keys whose cache entries arrived by replica push
@@ -157,7 +153,7 @@ type Server struct {
 	handoffServed     atomic.Uint64 // store files served to peers
 
 	incrCold      atomic.Uint64 // local solves with no reuse (fresh compile, no splice)
-	incrWarm      atomic.Uint64 // local solves reusing a plan or compiled problem, no splicing
+	incrWarm      atomic.Uint64 // local solves reusing a compiled problem, no splicing
 	incrPartial   atomic.Uint64 // local solves splicing partitions from a warm session
 	deltaRequests atomic.Uint64 // warm-start (base+delta) requests received
 	sessionMisses atomic.Uint64 // delta requests whose base had no warm session
@@ -221,7 +217,6 @@ func New(cfg Config) *Server {
 		cache:      cfg.Cache,
 		pool:       pool,
 		clu:        cfg.Cluster,
-		engine:     incr.NewEngine(cfg.PlanEntries),
 		sessions:   cache.NewLRU[*svcSession](sessions, nil),
 		wanted:     cache.NewLRU[struct{}](sessions, nil),
 		obs:        obsv.NewObserver(node, cfg.FlightEntries, flightDir),
@@ -433,19 +428,19 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "fingerprint: %v", err)
 		return
 	}
+	// The local cache answers first, in a cluster too: it is authoritative
+	// for keys this node owns and byte-identical for any key it happens to
+	// hold (replica pushes and fallback solves populate it), so skipping
+	// the hop is always safe — and it is exactly how a successor serves a
+	// dead owner's keys warm.
+	if body, ok := s.cache.Get(key); ok {
+		s.noteReplicaServe(r.Context(), key)
+		s.parkSessionAsync(key, p.in, p.opt)
+		obsv.FromContext(r.Context()).Event("cache: byte cache answered")
+		s.writeSolveBody(w, r, key, "hit", body)
+		return
+	}
 	if s.clu != nil && !hopped {
-		// The local cache answers first: it is authoritative for keys this
-		// node owns and byte-identical for any key it happens to hold
-		// (replica pushes and fallback solves populate it), so skipping the
-		// hop is always safe — and it is exactly how a successor serves a
-		// dead owner's keys warm.
-		if body, ok := s.cache.Get(key); ok {
-			s.noteReplicaServe(r.Context(), key)
-			s.parkSessionAsync(key, p.in, p.opt)
-			obsv.FromContext(r.Context()).Event("cache: byte cache answered")
-			s.writeSolveBody(w, r, key, "hit", body)
-			return
-		}
 		if _, self := s.clu.OwnerOf(key); !self {
 			if s.forwardSolve(w, r, key, raw) {
 				return
@@ -454,22 +449,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			// surviving candidate for the key, so it serves — warm when the
 			// key was replicated here, cold only as the new owner.
 		}
-		// The miss is already recorded by the Get above.
-		body, status, err := s.resolveMiss(r.Context(), key, p.in, p.opt)
-		if err != nil {
-			writeResolveError(w, err)
-			return
-		}
-		s.writeSolveBody(w, r, key, status, body)
-		return
 	}
-	if body, ok := s.cache.Get(key); ok {
-		s.noteReplicaServe(r.Context(), key)
-		s.parkSessionAsync(key, p.in, p.opt)
-		obsv.FromContext(r.Context()).Event("cache: byte cache answered")
-		s.writeSolveBody(w, r, key, "hit", body)
-		return
-	}
+	// The miss is already recorded by the Get above.
 	body, status, err := s.resolveMiss(r.Context(), key, p.in, p.opt)
 	if err != nil {
 		writeResolveError(w, err)
@@ -521,35 +502,15 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request, p *solvePar
 // "cold" (how much the warm state helped), "hit" (the patched key was
 // already cached; those bytes win), or "coalesced".
 func (s *Server) resolveDelta(ctx context.Context, p *solveParsed) ([]byte, cache.Key, string, error) {
-	dk := deltaFlightKey(p.base, p.delta)
-	for {
-		f, lead := s.tryLead(dk)
-		if !lead {
-			select {
-			case <-f.done:
-				if f.err != nil {
-					if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
-						continue
-					}
-					return nil, cache.Key{}, "", f.err
-				}
-				s.coalesced.Add(1)
-				obsv.FromContext(ctx).Event("solve: coalesced onto in-flight delta leader")
-				return f.body, f.key, "coalesced", nil
-			case <-ctx.Done():
-				return nil, cache.Key{}, "", ctx.Err()
-			case <-s.shutdown:
-				return nil, cache.Key{}, "", errBusy
-			}
-		}
-		body, key, status, err := s.solveDelta(ctx, p)
-		f.key = key
-		s.settle(dk, f, body, err)
-		if err != nil {
-			return nil, cache.Key{}, "", err
-		}
-		return body, key, status, nil
+	status := "coalesced"
+	body, key, err := s.coalesce(ctx, deltaFlightKey(p.base, p.delta), "delta leader", func() (body []byte, key cache.Key, err error) {
+		body, key, status, err = s.solveDelta(ctx, p)
+		return body, key, err
+	})
+	if err != nil {
+		return nil, cache.Key{}, "", err
 	}
+	return body, key, status, nil
 }
 
 // solveDelta runs one partial re-solve: look up the base's warm session,
@@ -624,7 +585,7 @@ func (s *Server) countIncr(st *core.Stats) string {
 	case st.SplicedPartitions > 0:
 		s.incrPartial.Add(1)
 		return "partial"
-	case st.ProbReused || st.PlanReused:
+	case st.ProbReused:
 		s.incrWarm.Add(1)
 		return "warm"
 	default:
@@ -636,13 +597,13 @@ func (s *Server) countIncr(st *core.Stats) string {
 // ensureSession parks a warm session for an instance this node just served
 // (or could serve) so later delta requests against its fingerprint find
 // warm state. Opening is cheap relative to a solve (one R1 clone); the
-// compiled plan and solver state materialize only when a solve actually
-// runs through it.
+// compiled problem materializes only when a solve actually runs through
+// it.
 func (s *Server) ensureSession(key cache.Key, in core.Input, opt core.Options) *svcSession {
 	if ss, ok := s.sessions.Get(key); ok {
 		return ss
 	}
-	sess, err := s.engine.OpenKeyed(in, opt, s.pool, key)
+	sess, err := incr.OpenKeyed(in, opt, s.pool, key)
 	if err != nil {
 		return nil
 	}
@@ -784,35 +745,48 @@ func (s *Server) resolveMiss(ctx context.Context, key cache.Key, in core.Input, 
 }
 
 func (s *Server) resolveMissWith(ctx context.Context, key cache.Key, in core.Input, opt core.Options, park bool) ([]byte, string, error) {
-	for {
-		f, lead := s.tryLead(key)
-		if !lead {
-			select {
-			case <-f.done:
-				if f.err != nil {
-					// The leader failed; don't inherit its error blindly —
-					// transient failures (cancellation) shouldn't poison
-					// followers. Retry the whole resolution.
-					if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
-						continue
-					}
-					return nil, "", f.err
-				}
-				s.coalesced.Add(1)
-				obsv.FromContext(ctx).Event("solve: coalesced onto in-flight leader")
-				return f.body, "coalesced", nil
-			case <-ctx.Done():
-				return nil, "", ctx.Err()
-			case <-s.shutdown:
-				return nil, "", errBusy
-			}
-		}
+	status := "coalesced"
+	body, _, err := s.coalesce(ctx, key, "leader", func() ([]byte, cache.Key, error) {
+		status = "miss"
 		body, err := s.solveAndStore(ctx, key, in, opt, park)
-		s.settle(key, f, body, err)
-		if err != nil {
-			return nil, "", err
+		return body, key, err
+	})
+	if err != nil {
+		return nil, "", err
+	}
+	return body, status, nil
+}
+
+// coalesce runs solve as the leader of the flight fk, or — when another
+// request already leads it — waits for that leader and shares its body and
+// key, counting the request as coalesced. A leader that failed by
+// cancellation does not poison its followers: they retry, and one of them
+// leads the next flight. what names the flight in the trace event.
+func (s *Server) coalesce(ctx context.Context, fk cache.Key, what string, solve func() ([]byte, cache.Key, error)) ([]byte, cache.Key, error) {
+	for {
+		f, lead := s.tryLead(fk)
+		if lead {
+			body, key, err := solve()
+			f.key = key
+			s.settle(fk, f, body, err)
+			return body, key, err
 		}
-		return body, "miss", nil
+		select {
+		case <-f.done:
+			if f.err != nil {
+				if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
+					continue
+				}
+				return nil, cache.Key{}, f.err
+			}
+			s.coalesced.Add(1)
+			obsv.FromContext(ctx).Event("solve: coalesced onto in-flight " + what)
+			return f.body, f.key, nil
+		case <-ctx.Done():
+			return nil, cache.Key{}, ctx.Err()
+		case <-s.shutdown:
+			return nil, cache.Key{}, errBusy
+		}
 	}
 }
 
@@ -844,9 +818,8 @@ func (s *Server) settle(key cache.Key, f *flight, body []byte, err error) {
 
 // solveAndStore runs the solver under admission control and caches the
 // encoded response body. With park set (the sync path), the solve runs
-// through a warm session — the compiled plan comes from (and feeds) the
-// shared plan cache, and the session is parked afterwards so delta
-// requests against this fingerprint re-solve incrementally; without it
+// through a warm session that is parked afterwards, so delta requests
+// against this fingerprint re-solve incrementally; without it
 // (the async job path) the solve takes the plain pooled path and leaves no
 // per-instance state behind.
 func (s *Server) solveAndStore(ctx context.Context, key cache.Key, in core.Input, opt core.Options, park bool) ([]byte, error) {
@@ -877,7 +850,7 @@ func (s *Server) solveAndStore(ctx context.Context, key cache.Key, in core.Input
 		// The base solved and left a warm session; make it durable. The
 		// request input is pristine (the session solves on its own clones),
 		// so it is exactly the base instance the record must reproduce.
-		s.enqueuePersist(persistReq{key: key, in: in, opt: opt, ss: ss})
+		s.enqueuePersist(persistReq{key: key, in: in, opt: opt})
 	}
 	body, err := encodeSolveBody(hex.EncodeToString(key[:]), in, res)
 	if err != nil {
@@ -1008,16 +981,12 @@ func (s *Server) metricsExposition() string {
 	counter("jobs_accepted_total", s.jobsAccepted.Load(), "async jobs accepted")
 	counter("jobs_done_total", s.jobsDone.Load(), "async jobs finished")
 	counter("jobs_canceled_total", s.jobsCanceled.Load(), "async jobs canceled")
-	es := s.engine.Stats()
 	counter("incr_cold_solves_total", s.incrCold.Load(), "local solves with no warm-state reuse")
-	counter("incr_warm_solves_total", s.incrWarm.Load(), "local solves reusing a compiled plan or problem without splicing")
+	counter("incr_warm_solves_total", s.incrWarm.Load(), "local solves reusing a compiled problem without splicing")
 	counter("incr_partial_solves_total", s.incrPartial.Load(), "local solves splicing partitions from a warm session")
 	counter("incr_delta_requests_total", s.deltaRequests.Load(), "warm-start (base+delta) requests received")
 	counter("incr_session_misses_total", s.sessionMisses.Load(), "delta requests whose base had no warm session here")
-	counter("incr_plan_hits_total", es.PlanHits, "compiled-plan cache hits")
-	counter("incr_plan_misses_total", es.PlanMisses, "compiled-plan cache misses (plans compiled)")
 	gauge("incr_sessions", int64(s.sessions.Len()), "warm solver sessions retained")
-	gauge("incr_plans", int64(es.Plans), "compiled plans retained")
 	gauge("jobs_known", int64(nJobs), "jobs retained in the registry")
 	gauge("job_queue_depth", int64(queued), "jobs waiting to run")
 	gauge("workers", int64(s.nWorkers), "solver pool size")

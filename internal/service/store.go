@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/incr"
 	"repro/internal/obsv"
 	"repro/internal/store"
 )
@@ -20,13 +21,11 @@ import (
 
 // persistReq asks the persister goroutine to write one session record. The
 // input is the pristine request instance (the session holds its own
-// clones); the session pointer is read under its lock at persist time to
-// capture the structural plan the solve resolved.
+// clones).
 type persistReq struct {
 	key cache32
 	in  core.Input
 	opt core.Options
-	ss  *svcSession
 }
 
 type cache32 = [32]byte
@@ -69,16 +68,12 @@ func (s *Server) persistSession(req persistReq) {
 		s.persistErrors.Add(1)
 		return
 	}
-	req.ss.mu.Lock()
-	pl := req.ss.sess.Plan()
-	sfp := req.ss.sess.StructuralFingerprint()
-	req.ss.mu.Unlock()
 	opt := req.opt
 	opt.Workers = 0 // parallelism is per-process policy, not instance state
 	rec := &store.SessionRecord{
-		BaseFP: req.key, SFP: sfp, R1FP: r1fp, R2FP: r2fp,
+		BaseFP: req.key, R1FP: r1fp, R2FP: r2fp,
 		K1: req.in.K1, K2: req.in.K2, FK: req.in.FK,
-		Opt: opt, CCs: req.in.CCs, DCs: req.in.DCs, Plan: pl,
+		Opt: opt, CCs: req.in.CCs, DCs: req.in.DCs,
 	}
 	if err := s.store.PutSession(rec); err != nil {
 		s.persistErrors.Add(1)
@@ -149,12 +144,7 @@ func (s *Server) restoreSession(base cache32) *svcSession {
 		s.restoreFails.Add(1)
 		return nil
 	}
-	if rec.Plan != nil {
-		// The restored plan makes the session's first real solve classify
-		// warm (plan reuse) instead of cold.
-		s.engine.AdoptPlan(rec.Plan)
-	}
-	sess, err := s.engine.OpenKeyed(in, rec.Opt, s.pool, base)
+	sess, err := incr.OpenKeyed(in, rec.Opt, s.pool, base)
 	if err != nil {
 		s.restoreFails.Add(1)
 		return nil

@@ -93,18 +93,33 @@ func TestRestartServesWarmWithZeroSolves(t *testing.T) {
 		t.Errorf("store_sessions_restored_total = %d, want 1", got)
 	}
 
-	// A delta never seen before the restart still solves — and warm, not
-	// cold: the restored plan is found under the patched instance's
-	// structural key (a row edit preserves structure; CC targets are part
-	// of the structural fingerprint, so a target change would not be).
+	// A delta never seen before the restart still solves, without a 404:
+	// the restored session compiles cold once and answers the same bytes
+	// as a cold solve of the patched instance on a fresh server.
 	d2 := &DeltaJSON{R1Edits: []CellEditJSON{{Row: 1, Col: "Age", Val: 33}}}
 	resp = postJSON(t, ts2.URL+"/v1/solve", SolveRequest{Base: base.Key, Delta: d2})
 	b2 := readBody(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fresh delta after restart: status %d: %s", resp.StatusCode, b2)
 	}
-	if got := metricValue(t, ts2.URL, "incr_cold_solves_total"); got != 0 {
-		t.Errorf("fresh delta after restart classified cold; the restored plan was not adopted")
+	if got := resp.Header.Get("X-Linksynth-Incr"); got != "cold" {
+		t.Errorf("fresh delta after restart: X-Linksynth-Incr %q, want cold", got)
+	}
+	patched := testInstance(0)
+	rows := append([][]any(nil), patched.R1.Rows...)
+	rows[1] = append([]any(nil), rows[1]...)
+	rows[1][1] = 33
+	r1 := *patched.R1
+	r1.Rows = rows
+	patched.R1 = &r1
+	_, ts3 := newTestServer(t, Config{Workers: 1})
+	resp = postJSON(t, ts3.URL+"/v1/solve", SolveRequest{InstanceJSON: patched, Options: &OptionsJSON{Seed: 1}})
+	cold := readBody(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold solve of the patched instance: status %d: %s", resp.StatusCode, cold)
+	}
+	if !bytes.Equal(b2, cold) {
+		t.Errorf("fresh delta after restart differs from a cold solve of the patched instance")
 	}
 }
 

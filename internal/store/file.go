@@ -1,6 +1,6 @@
 // Package store is the disk-resident tier under the serving layer's warm
 // path: content-addressed columnar snapshots, persisted session records
-// (base instance references, constraints, compiled plan), and the result
+// (base instance references, constraints, options), and the result
 // cache's log, all under one data directory.
 //
 // Durability follows the MOD recipe: all data files are immutable and
@@ -44,7 +44,7 @@ const (
 	secSnapColumnar uint32 = 2 // table.Columnar blob
 	secSessMeta     uint32 = 3 // session record metadata
 	secSessCons     uint32 = 4 // constraint text (constraint.WriteConstraints)
-	secSessPlan     uint32 = 5 // core.Plan blob (empty when no plan)
+	secSessReserved uint32 = 5 // reserved; written empty, ignored on read
 )
 
 type section struct {

@@ -12,13 +12,12 @@ import (
 )
 
 // SessionRecord is everything needed to reopen a parked serving session
-// warm after a restart: references to the base relations (by snapshot
-// fingerprint), the constraint text, the solver options, and the compiled
-// plan. The record stores only the pristine base instance — deltas are
-// re-expressed by clients against the base fingerprint, so overlay state
-// need not survive; what must survive is the ability to serve the next
-// {base, delta} without a cold classification or a re-solve of a cached
-// result.
+// after a restart: references to the base relations (by snapshot
+// fingerprint), the constraint text, and the solver options. The record
+// stores only the pristine base instance — deltas are re-expressed by
+// clients against the base fingerprint, so overlay state need not survive;
+// what must survive is the ability to serve the next {base, delta} without
+// a 404 or a re-solve of a cached result.
 //
 // Constraints are persisted through constraint.WriteConstraints, which
 // preserves names and declaration order — both load-bearing: names are part
@@ -26,7 +25,6 @@ import (
 // declaration position.
 type SessionRecord struct {
 	BaseFP [32]byte // content fingerprint of the base instance (the file's name)
-	SFP    [32]byte // structural fingerprint (zero when the plan was never resolved)
 	R1FP   [32]byte // snapshot fingerprint of R1
 	R2FP   [32]byte // snapshot fingerprint of R2
 	K1     string
@@ -35,9 +33,12 @@ type SessionRecord struct {
 	Opt    core.Options // Workers is not persisted; the serving process sets it
 	CCs    []constraint.CC
 	DCs    []constraint.DC
-	Plan   *core.Plan // nil when the session never resolved a plan
 }
 
+// sessionRecordVersion stays 1: the layout still reserves the 32-byte
+// metadata slot and the section (secSessReserved) that once held a compiled
+// classification plan. Both are written empty and ignored on read, so
+// records are exchangeable with nodes that still write them.
 const sessionRecordVersion = 1
 
 const (
@@ -50,7 +51,7 @@ func encodeSessionMeta(rec *SessionRecord) []byte {
 	var out []byte
 	out = binary.LittleEndian.AppendUint32(out, sessionRecordVersion)
 	out = append(out, rec.BaseFP[:]...)
-	out = append(out, rec.SFP[:]...)
+	out = append(out, make([]byte, 32)...) // reserved
 	out = append(out, rec.R1FP[:]...)
 	out = append(out, rec.R2FP[:]...)
 	for _, s := range []string{rec.K1, rec.K2, rec.FK} {
@@ -92,7 +93,8 @@ func decodeSessionMeta(data []byte, rec *SessionRecord) error {
 	if v := binary.LittleEndian.Uint32(vb); v != sessionRecordVersion {
 		return fmt.Errorf("unsupported session record version %d", v)
 	}
-	for _, dst := range [][]byte{rec.BaseFP[:], rec.SFP[:], rec.R1FP[:], rec.R2FP[:]} {
+	var reserved [32]byte
+	for _, dst := range [][]byte{rec.BaseFP[:], reserved[:], rec.R1FP[:], rec.R2FP[:]} {
 		b, ok := take(32)
 		if !ok {
 			return fmt.Errorf("session meta truncated")
@@ -142,14 +144,10 @@ func encodeSessionRecord(rec *SessionRecord) ([]byte, error) {
 	if err := constraint.WriteConstraints(&cons, rec.CCs, rec.DCs); err != nil {
 		return nil, err
 	}
-	var plan []byte
-	if rec.Plan != nil {
-		plan = core.EncodePlan(rec.Plan)
-	}
 	secs := []section{
 		{kind: secSessMeta, payload: encodeSessionMeta(rec)},
 		{kind: secSessCons, payload: cons.Bytes()},
-		{kind: secSessPlan, payload: plan},
+		{kind: secSessReserved}, // reserved, written empty
 	}
 	return buildFile(fileKindSession, secs), nil
 }
@@ -170,14 +168,11 @@ func decodeSessionRecord(secs []section) (*SessionRecord, error) {
 	if rec.CCs, rec.DCs, err = constraint.ParseConstraints(bytes.NewReader(cons)); err != nil {
 		return nil, fmt.Errorf("session constraints: %w", err)
 	}
-	plan, err := findSection(secs, secSessPlan)
-	if err != nil {
+	// The reserved section's payload is ignored, but the section must be
+	// present: it is the last one written, so its absence marks a record
+	// cut short.
+	if _, err := findSection(secs, secSessReserved); err != nil {
 		return nil, err
-	}
-	if len(plan) > 0 {
-		if rec.Plan, err = core.DecodePlan(plan); err != nil {
-			return nil, fmt.Errorf("session plan: %w", err)
-		}
 	}
 	return rec, nil
 }

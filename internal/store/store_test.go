@@ -106,10 +106,6 @@ func makeRecord(t *testing.T, s *Store, in core.Input, opt core.Options) *Sessio
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := core.CompilePlan(in, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	r1fp, err := s.PutRelation(in.R1)
 	if err != nil {
 		t.Fatal(err)
@@ -119,9 +115,9 @@ func makeRecord(t *testing.T, s *Store, in core.Input, opt core.Options) *Sessio
 		t.Fatal(err)
 	}
 	return &SessionRecord{
-		BaseFP: baseFP, SFP: pl.Key(), R1FP: r1fp, R2FP: r2fp,
+		BaseFP: baseFP, R1FP: r1fp, R2FP: r2fp,
 		K1: in.K1, K2: in.K2, FK: in.FK,
-		Opt: opt, CCs: in.CCs, DCs: in.DCs, Plan: pl,
+		Opt: opt, CCs: in.CCs, DCs: in.DCs,
 	}
 }
 
@@ -141,7 +137,7 @@ func TestSessionRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.BaseFP != rec.BaseFP || got.SFP != rec.SFP || got.R1FP != rec.R1FP || got.R2FP != rec.R2FP {
+	if got.BaseFP != rec.BaseFP || got.R1FP != rec.R1FP || got.R2FP != rec.R2FP {
 		t.Fatal("fingerprints did not round-trip")
 	}
 	if got.K1 != in.K1 || got.K2 != in.K2 || got.FK != in.FK {
@@ -149,9 +145,6 @@ func TestSessionRecordRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Opt, rec.Opt) {
 		t.Fatalf("options did not round-trip: %+v vs %+v", got.Opt, rec.Opt)
-	}
-	if got.Plan == nil || got.Plan.Key() != rec.Plan.Key() {
-		t.Fatal("plan did not round-trip")
 	}
 
 	// Reconstruct the instance from stored parts and re-fingerprint it.
@@ -178,21 +171,6 @@ func TestSessionRecordRoundTrip(t *testing.T) {
 	}
 	if len(fps) != 1 || fps[0] != rec.BaseFP {
 		t.Fatalf("Sessions() = %x", fps)
-	}
-
-	// A record without a plan round-trips too.
-	rec2 := *rec
-	rec2.Plan = nil
-	rec2.SFP = [32]byte{}
-	if err := s.PutSession(&rec2); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := s.LoadSession(rec2.BaseFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Plan != nil {
-		t.Fatal("nil plan decoded as non-nil")
 	}
 }
 

@@ -124,15 +124,6 @@ func SolveBatchContext(ctx context.Context, inputs []Input, opt Options) ([]*Res
 // cache key of the linksynthd serving layer.
 func Fingerprint(in Input, opt Options) ([32]byte, error) { return core.Fingerprint(in, opt) }
 
-// StructuralFingerprint returns the SHA-256 address of an instance's
-// structure — schemas, canonical constraints, and output-relevant options,
-// with row data excluded and declaration order canonicalized. It keys the
-// compiled-plan cache of the incremental engine: instances sharing a
-// structural fingerprint share one compiled plan regardless of their data.
-func StructuralFingerprint(in Input, opt Options) ([32]byte, error) {
-	return core.StructuralFingerprint(in, opt)
-}
-
 // Incremental solve types (see internal/incr for the engine).
 type (
 	// Session is a warm solver session over one base instance: Solve once,
@@ -146,19 +137,14 @@ type (
 	CellEdit = incr.CellEdit
 )
 
-// defaultEngine backs the package-level Open; its plan cache is shared by
-// every session opened through it.
-var defaultEngine = incr.NewEngine(128)
-
 // Open starts an incremental solve session for the instance: the returned
 // Session solves the base once, then re-solves deltas (CC bound nudges, R1
 // cell edits, appended rows) incrementally — reusing the compiled problem
 // and splicing untouched phase-2 partitions — with results byte-identical
-// to cold solves of the equivalent patched inputs. Sessions opened through
-// this function share one process-wide structural plan cache. A Session is
-// not safe for concurrent use.
+// to cold solves of the equivalent patched inputs. A Session is not safe
+// for concurrent use.
 func Open(in Input, opt Options) (*Session, error) {
-	return defaultEngine.Open(in, opt, nil)
+	return incr.Open(in, opt, nil)
 }
 
 // BaselineOptions configures the plain Arasu-style baseline of §6.1 (ILP
