@@ -20,9 +20,14 @@ import (
 //
 // They pin the on-disk layout in both directions, so nodes running either
 // encoder keep exchanging session records (restores and replica pushes).
+//
+// pin_r1.snap is the snapshot file of pinInput's R1, so the columnar
+// encoding — and with it every snapshot's content fingerprint — is pinned
+// too.
 const (
 	fixturePlan   = "testdata/session_plan.sess"
 	fixtureNoPlan = "testdata/session_noplan.sess"
+	fixtureR1Snap = "testdata/pin_r1.snap"
 )
 
 func pinInput() (core.Input, core.Options) {
@@ -115,5 +120,49 @@ func TestLoadsSessionRecordWithPlanSection(t *testing.T) {
 	}
 	if fp != want.BaseFP {
 		t.Fatal("rebuilt instance fingerprint differs from the record's base fingerprint")
+	}
+}
+
+// TestSnapshotBytesMatchFixture: today's encoder reproduces the pinned R1
+// snapshot byte for byte, its fingerprint is the R1FP the session fixture
+// references, and LoadRelation reads the fixture back cell for cell.
+func TestSnapshotBytesMatchFixture(t *testing.T) {
+	in, _ := pinInput()
+	want, err := os.ReadFile(fixtureR1Snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, fp, err := encodeSnapshot(in.R1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("snapshot encoding (%d bytes) differs from %s (%d bytes)", len(got), fixtureR1Snap, len(want))
+	}
+	sess, err := os.ReadFile(fixtureNoPlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := parseFile(sess, fileKindSession)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := decodeSessionRecord(secs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp != rec.R1FP {
+		t.Fatalf("snapshot fingerprint %x, session fixture references %x", fp, rec.R1FP)
+	}
+	s := mustOpen(t, t.TempDir())
+	if _, err := s.Ingest(fp, want); err != nil {
+		t.Fatal(err)
+	}
+	back, err := s.LoadRelation(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !relationsEqual(back, in.R1) {
+		t.Fatal("fixture snapshot loads into a different relation")
 	}
 }
