@@ -55,7 +55,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed")
 	batch := flag.Int("batch", 0, "solve this many instances via SolveBatch instead of running experiments")
 	incr := flag.Bool("incr", false, "benchmark cold vs warm-session vs delta re-solve on a repeated-structure workload")
-	storeBench := flag.Bool("store", false, "benchmark durable-store restart shapes: cold start vs warm restart vs mapped-snapshot load")
+	storeBench := flag.Bool("store", false, "benchmark durable-store restart shapes: cold start vs warm restart vs snapshot load")
 	traceRun := flag.Bool("trace", false, "solve one instance under a trace and print its span timeline")
 	explainRun := flag.Bool("explain", false, "solve one instance and print its EXPLAIN cost report (implies -trace)")
 	iters := flag.Int("iters", 15, "iterations per -incr benchmark")
@@ -404,9 +404,9 @@ func runIncr(iters, unit, nCC int, seed int64) {
 // instance from nothing (no durable state); warm restart replays the full
 // recovery path the daemon takes — open the store, load the session record,
 // materialize both relation snapshots, verify the content fingerprint,
-// open the session, solve; mapped load isolates
-// the state-materialization share of that (snapshot decode + verify, no
-// solve); persist is the write side the persister goroutine pays off the
+// open the session, solve; snapshot load isolates
+// the state-materialization share of that (snapshot read, verify and
+// decode, no solve); persist is the write side the persister goroutine pays off the
 // request path. Output is `go test -bench`-shaped lines for
 // .github/bench_to_json.sh.
 func runStore(iters, unit, nCC int, seed int64) {
@@ -505,10 +505,10 @@ func runStore(iters, unit, nCC int, seed int64) {
 	})
 	report("BenchmarkStorePersist", persist, cold)
 
-	// Mapped load: what materializing the base state from disk costs —
-	// snapshot decode over the mapping, content verification, relation
-	// materialization — without the solve that follows.
-	mappedLoad := median(func(int) {
+	// Snapshot load: what materializing the base state from disk costs —
+	// reading each snapshot file, content verification, decoding and
+	// relation materialization — without the solve that follows.
+	snapshotLoad := median(func(int) {
 		st, err := store.Open(dir)
 		if err != nil {
 			fatal("-store: %v", err)
@@ -520,7 +520,7 @@ func runStore(iters, unit, nCC int, seed int64) {
 			fatal("-store load R2: %v", err)
 		}
 	})
-	report("BenchmarkStoreMappedLoad", mappedLoad, cold)
+	report("BenchmarkStoreSnapshotLoad", snapshotLoad, cold)
 
 	// Warm restart: the daemon's full per-session recovery path in a fresh
 	// "process" (new store handle) — load the record, materialize both

@@ -18,9 +18,9 @@
 //	data/snapshots  content-addressed columnar relation snapshots (*.snap)
 //	data/sessions   session records: snapshot references, constraints, options (*.sess)
 //
-// -cache-dir is the pre-durable-store spelling of the same root and is kept
-// as an alias; a legacy flat cache.aol at the root is migrated into
-// data/cache on startup.
+// Every file is published atomically and CRC-framed; a restore reads a
+// snapshot into memory, verifies it against its content fingerprint, and
+// quarantines it if anything fails to check.
 //
 // Scaling out: seed every node with -peers (or point a new node at any
 // existing member with -join) plus its own -advertise URL and the nodes
@@ -64,7 +64,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the -debug-addr mux
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -80,7 +79,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", -1, "solver pool size shared by all requests (-1 = GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "root directory for all durable state: result cache, relation snapshots, session records (empty = memory only)")
-	cacheDir := flag.String("cache-dir", "", "deprecated alias for -data-dir (the pre-store flag name)")
 	cacheEntries := flag.Int("cache-entries", 1024, "maximum cached results (LRU beyond that)")
 	maxBody := flag.Int64("max-body", 32<<20, "maximum request body bytes (413 beyond that)")
 	queue := flag.Int("queue", 64, "bound on queued solves and pending async jobs (503 beyond that)")
@@ -102,12 +100,6 @@ func main() {
 	}
 
 	root := *dataDir
-	if root == "" {
-		root = *cacheDir
-	} else if *cacheDir != "" && *cacheDir != *dataDir {
-		fatalf("-cache-dir %q conflicts with -data-dir %q; -cache-dir is an alias, set only one", *cacheDir, *dataDir)
-	}
-
 	var st *store.Store
 	cacheRoot := ""
 	if root != "" {
@@ -116,7 +108,6 @@ func main() {
 			fatalf("open store at -data-dir %q: %v", root, err)
 		}
 		cacheRoot = st.CacheDir()
-		migrateFlatCacheLog(root, cacheRoot)
 	}
 
 	c, err := cache.Open(cacheRoot, *cacheEntries)
@@ -229,28 +220,6 @@ func main() {
 			log.Printf("shutdown: %v", err)
 		}
 	}
-}
-
-// migrateFlatCacheLog moves a pre-durable-store cache log (written by
-// `-cache-dir <root>`, directly at the root) into the data/cache
-// subdirectory the consolidated layout uses, so upgrading in place keeps
-// every cached result. The move is skipped if the new location is already
-// populated — never overwrite newer state with older.
-func migrateFlatCacheLog(root, cacheRoot string) {
-	old := filepath.Join(root, "cache.aol")
-	dst := filepath.Join(cacheRoot, "cache.aol")
-	if _, err := os.Stat(old); err != nil {
-		return
-	}
-	if _, err := os.Stat(dst); err == nil {
-		log.Printf("store: legacy cache log %s left in place (%s already exists)", old, dst)
-		return
-	}
-	if err := os.Rename(old, dst); err != nil {
-		log.Printf("store: could not migrate legacy cache log %s: %v", old, err)
-		return
-	}
-	log.Printf("store: migrated legacy cache log %s -> %s", old, dst)
 }
 
 func fatalf(format string, args ...any) {

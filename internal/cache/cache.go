@@ -19,7 +19,6 @@
 package cache
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -52,34 +51,25 @@ type Stats struct {
 // Cache is a bounded LRU over content-addressed byte values, safe for
 // concurrent use. The zero value is not usable; construct with Open.
 //
-// Two locks keep the read path fast: mu guards the in-memory LRU and
-// counters, logMu guards the file. A Put updates memory under mu, releases
-// it, then appends under logMu — so cache hits never wait behind an fsync.
+// Two locks keep the read path fast: the LRU's own lock guards memory and
+// the counters, logMu guards the file. A Put updates the LRU, which releases
+// its lock, then appends under logMu — so cache hits never wait behind an
+// fsync.
 // Concurrent Puts of the same key could in principle land in the log in
 // the opposite order of their memory updates, making a replayed state
 // differ from the final in-memory one; the serving layer singleflights
 // identical keys, so the race cannot occur there, and either value is a
 // valid result for the key in any case (keys are content addresses).
 type Cache struct {
-	mu         sync.Mutex
+	lru        *LRU[[]byte]
 	maxEntries int
-	ll         *list.List // front = most recently used
-	items      map[Key]*list.Element
-	hits       uint64
-	misses     uint64
-	evictions  uint64
-	replayed   int
+	replayed   int // set once by Open
 
 	logMu    sync.Mutex
 	log      *os.File // nil when memory-only (or closed)
 	logErr   error    // sticky: the log was lost mid-run (e.g. compaction reopen failed)
 	path     string
 	appended int // records currently in the log file
-}
-
-type entry struct {
-	key Key
-	val []byte
 }
 
 // Open creates a cache holding at most maxEntries values (<= 0 selects
@@ -91,11 +81,7 @@ func Open(dir string, maxEntries int) (*Cache, error) {
 	if maxEntries <= 0 {
 		maxEntries = 1024
 	}
-	c := &Cache{
-		maxEntries: maxEntries,
-		ll:         list.New(),
-		items:      make(map[Key]*list.Element),
-	}
+	c := &Cache{lru: NewLRU[[]byte](maxEntries), maxEntries: maxEntries}
 	if dir == "" {
 		return c, nil
 	}
@@ -137,28 +123,14 @@ func Open(dir string, maxEntries int) (*Cache, error) {
 // evicted records) has outgrown the cache capacity. Caller holds logMu, or
 // has exclusive access during Open.
 func (c *Cache) needsCompaction() bool {
-	c.mu.Lock()
-	live := c.ll.Len()
-	c.mu.Unlock()
-	return c.appended-live > c.maxEntries
+	return c.appended-c.lru.Len() > c.maxEntries
 }
 
 // compact rewrites the log to exactly the live LRU contents (oldest first,
 // so replay recency matches memory), via a temp file renamed into place.
 // Caller holds logMu, or has exclusive access during Open.
 func (c *Cache) compact() error {
-	type kv struct {
-		key Key
-		val []byte
-	}
-	c.mu.Lock()
-	live := make([]kv, 0, c.ll.Len())
-	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*entry)
-		live = append(live, kv{e.key, e.val})
-	}
-	c.mu.Unlock()
-
+	live := c.lru.oldestFirst()
 	tmp := c.path + ".compact"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -239,7 +211,7 @@ func (c *Cache) replay(f *os.File) (int64, error) {
 		}
 		var k Key
 		copy(k[:], body[:32])
-		c.putLocked(k, body[32:32+vlen])
+		c.lru.Put(k, body[32:32+vlen])
 		c.replayed++
 		off += int64(recHdrLen + len(body))
 	}
@@ -248,18 +220,7 @@ func (c *Cache) replay(f *os.File) (int64, error) {
 // Get returns the value stored under key and marks it most recently used.
 // The returned slice is the cache's backing storage: callers must treat it
 // as read-only.
-func (c *Cache) Get(key Key) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*entry).val, true
-}
+func (c *Cache) Get(key Key) ([]byte, bool) { return c.lru.Get(key) }
 
 // Put stores val under key, evicting the least recently used entry past the
 // capacity bound, and — when persistence is on — appends a durable record
@@ -267,9 +228,7 @@ func (c *Cache) Get(key Key) ([]byte, bool) {
 // disk write: the in-memory update completes (and releases its lock)
 // before the append begins.
 func (c *Cache) Put(key Key, val []byte) error {
-	c.mu.Lock()
-	c.putLocked(key, append([]byte(nil), val...))
-	c.mu.Unlock()
+	c.lru.Put(key, append([]byte(nil), val...))
 
 	c.logMu.Lock()
 	defer c.logMu.Unlock()
@@ -304,37 +263,17 @@ func encodeRecord(key Key, val []byte) []byte {
 	return rec
 }
 
-func (c *Cache) putLocked(key Key, val []byte) {
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*entry).val = val
-		return
-	}
-	c.items[key] = c.ll.PushFront(&entry{key: key, val: val})
-	for c.ll.Len() > c.maxEntries {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(*entry).key)
-		c.evictions++
-	}
-}
-
 // Len returns the number of live entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+func (c *Cache) Len() int { return c.lru.Len() }
 
 // Stats returns a snapshot of the effectiveness counters.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.lru.Stats()
 	return Stats{
-		Entries:   c.ll.Len(),
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
+		Entries:   st.Entries,
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		Evictions: st.Evictions,
 		Replayed:  c.replayed,
 	}
 }

@@ -6,17 +6,15 @@ import (
 )
 
 // LRU is a bounded least-recently-used map from content addresses to
-// arbitrary values, safe for concurrent use. It backs the caches whose
-// values are live objects rather than byte payloads — the serving layer's
-// warm solver sessions and its bookkeeping sets — so unlike Cache it has
-// no persistence layer; an optional eviction hook lets owners observe
-// entries falling out.
+// arbitrary values, safe for concurrent use. It is the in-memory half of
+// Cache, and on its own backs the caches whose values are live objects
+// rather than byte payloads: the serving layer's warm solver sessions and
+// its bookkeeping sets.
 type LRU[V any] struct {
 	mu         sync.Mutex
 	maxEntries int
 	ll         *list.List // front = most recently used
 	items      map[Key]*list.Element
-	onEvict    func(Key, V)
 	hits       uint64
 	misses     uint64
 	evictions  uint64
@@ -28,10 +26,8 @@ type lruEntry[V any] struct {
 }
 
 // NewLRU returns an LRU holding at most maxEntries values (<= 0 selects
-// 128). onEvict, when non-nil, is called for every entry displaced by
-// capacity or removed by Delete — outside the cache lock is NOT guaranteed;
-// hooks must not call back into the LRU.
-func NewLRU[V any](maxEntries int, onEvict func(Key, V)) *LRU[V] {
+// 128).
+func NewLRU[V any](maxEntries int) *LRU[V] {
 	if maxEntries <= 0 {
 		maxEntries = 128
 	}
@@ -39,7 +35,6 @@ func NewLRU[V any](maxEntries int, onEvict func(Key, V)) *LRU[V] {
 		maxEntries: maxEntries,
 		ll:         list.New(),
 		items:      make(map[Key]*list.Element),
-		onEvict:    onEvict,
 	}
 }
 
@@ -72,17 +67,13 @@ func (l *LRU[V]) Put(key Key, val V) {
 	for l.ll.Len() > l.maxEntries {
 		last := l.ll.Back()
 		l.ll.Remove(last)
-		e := last.Value.(*lruEntry[V])
-		delete(l.items, e.key)
+		delete(l.items, last.Value.(*lruEntry[V]).key)
 		l.evictions++
-		if l.onEvict != nil {
-			l.onEvict(e.key, e.val)
-		}
 	}
 }
 
 // Delete removes the entry under key, if any, reporting whether one was
-// removed. The eviction hook fires for removed entries.
+// removed.
 func (l *LRU[V]) Delete(key Key) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -91,11 +82,7 @@ func (l *LRU[V]) Delete(key Key) bool {
 		return false
 	}
 	l.ll.Remove(el)
-	e := el.Value.(*lruEntry[V])
-	delete(l.items, e.key)
-	if l.onEvict != nil {
-		l.onEvict(e.key, e.val)
-	}
+	delete(l.items, key)
 	return true
 }
 
@@ -108,6 +95,19 @@ func (l *LRU[V]) Keys() []Key {
 	out := make([]Key, 0, l.ll.Len())
 	for el := l.ll.Front(); el != nil; el = el.Next() {
 		out = append(out, el.Value.(*lruEntry[V]).key)
+	}
+	return out
+}
+
+// oldestFirst returns every live entry, least recently used first, without
+// touching recency — the order a replay must see them in to rebuild the
+// same recency.
+func (l *LRU[V]) oldestFirst() []lruEntry[V] {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]lruEntry[V], 0, l.ll.Len())
+	for el := l.ll.Back(); el != nil; el = el.Prev() {
+		out = append(out, *el.Value.(*lruEntry[V]))
 	}
 	return out
 }

@@ -13,8 +13,7 @@ func lruKey(i int) Key {
 }
 
 func TestLRUBasics(t *testing.T) {
-	var evicted []Key
-	l := NewLRU[int](2, func(k Key, v int) { evicted = append(evicted, k) })
+	l := NewLRU[int](2)
 	l.Put(lruKey(1), 10)
 	l.Put(lruKey(2), 20)
 	if v, ok := l.Get(lruKey(1)); !ok || v != 10 {
@@ -25,8 +24,11 @@ func TestLRUBasics(t *testing.T) {
 	if _, ok := l.Get(lruKey(2)); ok {
 		t.Fatalf("2 survived past capacity")
 	}
-	if len(evicted) != 1 || evicted[0] != lruKey(2) {
-		t.Fatalf("eviction hook saw %v", evicted)
+	if keys := l.Keys(); len(keys) != 2 || keys[0] != lruKey(3) || keys[1] != lruKey(1) {
+		t.Fatalf("Keys() after eviction = %q", keys)
+	}
+	if old := l.oldestFirst(); len(old) != 2 || old[0].key != lruKey(1) || old[1].val != 30 {
+		t.Fatalf("oldestFirst() = %v", old)
 	}
 	if v, ok := l.Get(lruKey(1)); !ok || v != 10 {
 		t.Fatalf("recently-used entry evicted")
@@ -45,7 +47,7 @@ func TestLRUBasics(t *testing.T) {
 }
 
 func TestLRUConcurrent(t *testing.T) {
-	l := NewLRU[int](32, nil)
+	l := NewLRU[int](32)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -217,8 +217,8 @@ func New(cfg Config) *Server {
 		cache:      cfg.Cache,
 		pool:       pool,
 		clu:        cfg.Cluster,
-		sessions:   cache.NewLRU[*svcSession](sessions, nil),
-		wanted:     cache.NewLRU[struct{}](sessions, nil),
+		sessions:   cache.NewLRU[*svcSession](sessions),
+		wanted:     cache.NewLRU[struct{}](sessions),
 		obs:        obsv.NewObserver(node, cfg.FlightEntries, flightDir),
 		nWorkers:   n,
 		maxBody:    maxBody,
@@ -241,7 +241,7 @@ func New(cfg Config) *Server {
 		// The replica-tracking set exists whenever clustered — a node that
 		// does not push (Replicas == 0) can still receive pushes from peers
 		// that do, and must track what it ingested.
-		s.replicated = cache.NewLRU[struct{}](4096, nil)
+		s.replicated = cache.NewLRU[struct{}](4096)
 		if cfg.Replicas > 0 {
 			s.replicas = cfg.Replicas
 			s.replQ = make(chan replReq, depth)
@@ -1026,7 +1026,6 @@ func (s *Server) metricsExposition() string {
 		gauge("store_cache_bytes", st.CacheBytes, "bytes of the result-cache log on disk")
 		gauge("store_snapshots", int64(st.Snapshots), "columnar snapshots resident on disk")
 		gauge("store_sessions", int64(st.Sessions), "session records resident on disk")
-		gauge("store_snapshots_mapped", st.MappedNow, "snapshots currently memory-mapped")
 		counter("store_sessions_persisted_total", s.sessionsPersisted.Load(), "parked sessions written to the durable store")
 		counter("store_sessions_restored_total", s.sessionsRestored.Load(), "sessions revived from the durable store")
 		counter("store_persist_errors_total", s.persistErrors.Load(), "session persists dropped or failed")

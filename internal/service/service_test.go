@@ -249,7 +249,7 @@ func TestWarmCacheDirSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fresh process against the same -cache-dir serves the instance
+	// A fresh process against the same cache directory serves the instance
 	// without re-solving.
 	c2, err := cache.Open(dir, 64)
 	if err != nil {

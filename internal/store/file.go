@@ -24,9 +24,8 @@ import (
 // File framing: a 16-byte header (magic, file kind, version) followed by
 // sections. Each section starts at an 8-byte-aligned offset with a 16-byte
 // header — kind, CRC-32 (IEEE) of the payload, payload length — then the
-// payload, zero-padded to the next 8-byte boundary. Aligned payloads let
-// the columnar decoder alias int64/int32 arrays straight out of a mapped
-// file.
+// payload, zero-padded to the next 8-byte boundary. The alignment is part
+// of the pinned file format; the reader no longer relies on it.
 
 var fileMagic = [8]byte{'L', 'S', 'S', 'T', 'O', 'R', '1', '\n'}
 

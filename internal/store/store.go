@@ -56,7 +56,6 @@ type Store struct {
 
 	snapshotsPut  atomic.Uint64
 	sessionsPut   atomic.Uint64
-	mappedNow     atomic.Int64
 	corruptFiles  atomic.Uint64
 	ingestedFiles atomic.Uint64
 }
@@ -160,57 +159,39 @@ func (s *Store) quarantine(path string) {
 	os.Rename(path, path+corruptExt)
 }
 
-// openMapped maps (or pagewise-reads) a whole file. Callers must close the
-// returned mapping.
-func openMapped(path string) (*mapped, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	return mapFile(f, st.Size())
-}
-
-// loadSnapshotSections maps the snapshot file for fp and returns its parsed
-// sections plus the mapping (which the caller must close; section payloads
-// alias it). A framing defect or content-hash mismatch quarantines the file
-// and returns an error — a corrupt snapshot is never served.
-func (s *Store) loadSnapshotSections(fp [32]byte) ([]section, *mapped, error) {
-	path := s.snapPath(fp)
-	m, err := openMapped(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	secs, perr := parseFile(m.bytes(), fileKindSnapshot)
-	if perr == nil && snapshotFingerprint(secs) != fp {
-		perr = fmt.Errorf("store: snapshot %s: content does not match its fingerprint", filepath.Base(path))
-	}
-	if perr != nil {
-		m.close()
-		s.quarantine(path)
-		return nil, nil, perr
-	}
-	return secs, m, nil
-}
-
-// LoadRelation reads the snapshot named by fp back into a relation. The
-// columnar payload is decoded with aliasing directly over the mapped file,
-// and the materialized relation owns its rows, so the mapping is released
-// before returning.
+// LoadRelation reads the snapshot named by fp back into a relation. A
+// framing defect, a content-hash mismatch or a structurally invalid
+// columnar payload quarantines the file and returns an error — a corrupt
+// snapshot is never served.
 func (s *Store) LoadRelation(fp [32]byte) (*table.Relation, error) {
-	secs, m, err := s.loadSnapshotSections(fp)
+	path := s.snapPath(fp)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	s.mappedNow.Add(1)
-	defer func() {
-		m.close()
-		s.mappedNow.Add(-1)
-	}()
+	rel, err := decodeSnapshot(data, fp)
+	if err != nil {
+		s.quarantine(path)
+		return nil, err
+	}
+	return rel, nil
+}
+
+// parseSnapshot validates the framing of a snapshot file image and checks
+// its content against the fingerprint it is stored under.
+func parseSnapshot(data []byte, fp [32]byte) ([]section, error) {
+	secs, err := parseFile(data, fileKindSnapshot)
+	if err == nil && snapshotFingerprint(secs) != fp {
+		err = fmt.Errorf("store: snapshot %x: content does not match its fingerprint", fp)
+	}
+	return secs, err
+}
+
+func decodeSnapshot(data []byte, fp [32]byte) (*table.Relation, error) {
+	secs, err := parseSnapshot(data, fp)
+	if err != nil {
+		return nil, err
+	}
 	name, err := findSection(secs, secSnapName)
 	if err != nil {
 		return nil, err
@@ -219,62 +200,11 @@ func (s *Store) LoadRelation(fp [32]byte) (*table.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := table.DecodeColumnar(blob, true)
+	c, err := table.DecodeColumnar(blob)
 	if err != nil {
-		// The CRC passed but the blob is structurally invalid — an encoder
-		// bug or a deliberate corruption; either way, never serve it.
-		s.quarantine(s.snapPath(fp))
 		return nil, err
 	}
 	return c.Relation(string(name))
-}
-
-// MappedColumnar is a decoded snapshot whose arrays alias a live file
-// mapping; Close releases the mapping, after which the Columnar must not
-// be used. It is the zero-copy path for instances too large to materialize.
-type MappedColumnar struct {
-	C     *table.Columnar
-	Name  string
-	s     *Store
-	m     *mapped
-	moved atomic.Bool
-}
-
-// Close releases the underlying mapping. Safe to call twice.
-func (mc *MappedColumnar) Close() error {
-	if mc.moved.Swap(true) {
-		return nil
-	}
-	mc.s.mappedNow.Add(-1)
-	return mc.m.close()
-}
-
-// LoadColumnar opens the snapshot named by fp as a columnar view aliasing
-// the mapped file — dictionaries are materialized, but value arrays, null
-// masks, and posting lists read straight from the page cache.
-func (s *Store) LoadColumnar(fp [32]byte) (*MappedColumnar, error) {
-	secs, m, err := s.loadSnapshotSections(fp)
-	if err != nil {
-		return nil, err
-	}
-	name, err := findSection(secs, secSnapName)
-	if err != nil {
-		m.close()
-		return nil, err
-	}
-	blob, err := findSection(secs, secSnapColumnar)
-	if err != nil {
-		m.close()
-		return nil, err
-	}
-	c, err := table.DecodeColumnar(blob, mmapSupported)
-	if err != nil {
-		m.close()
-		s.quarantine(s.snapPath(fp))
-		return nil, err
-	}
-	s.mappedNow.Add(1)
-	return &MappedColumnar{C: c, Name: string(name), s: s, m: m}, nil
 }
 
 // ReadFile returns the raw published bytes of the file addressed by fp —
@@ -292,13 +222,9 @@ func (s *Store) ReadFile(fp [32]byte) ([]byte, Kind, error) {
 	if err != nil {
 		return nil, KindUnknown, err
 	}
-	secs, perr := parseFile(data, fileKindSnapshot)
-	if perr == nil && snapshotFingerprint(secs) != fp {
-		perr = fmt.Errorf("store: snapshot content does not match its fingerprint")
-	}
-	if perr != nil {
+	if _, err := parseSnapshot(data, fp); err != nil {
 		s.quarantine(s.snapPath(fp))
-		return nil, KindUnknown, perr
+		return nil, KindUnknown, err
 	}
 	return data, KindSnapshot, nil
 }
@@ -376,7 +302,6 @@ type Stats struct {
 	CacheBytes    int64 // bytes on disk under cache/
 	Snapshots     int   // snapshot files resident
 	Sessions      int   // session records resident
-	MappedNow     int64 // snapshot mappings currently open
 	SnapshotsPut  uint64
 	SessionsPut   uint64
 	CorruptFiles  uint64
@@ -404,7 +329,6 @@ func dirUsage(dir, ext string) (bytes int64, files int) {
 // Stats scans the data directory; cheap enough for a metrics scrape.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		MappedNow:     s.mappedNow.Load(),
 		SnapshotsPut:  s.snapshotsPut.Load(),
 		SessionsPut:   s.sessionsPut.Load(),
 		CorruptFiles:  s.corruptFiles.Load(),

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -79,25 +80,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("loaded relation differs")
 	}
 
-	mc, err := s.LoadColumnar(fp2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mc.Name != in.R2.Name || mc.C.Len() != in.R2.Len() {
-		t.Fatal("mapped columnar shape mismatch")
-	}
-	if s.Stats().MappedNow != 1 {
-		t.Fatal("mapped gauge not tracking open mapping")
-	}
-	if err := mc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := mc.Close(); err != nil { // double close is safe
-		t.Fatal(err)
-	}
-	if s.Stats().MappedNow != 0 {
-		t.Fatal("mapped gauge not released")
-	}
 }
 
 func makeRecord(t *testing.T, s *Store, in core.Input, opt core.Options) *SessionRecord {
@@ -347,5 +329,41 @@ func TestIngest(t *testing.T) {
 	// Unknown fingerprints are a clean miss.
 	if _, _, err := src.ReadFile([32]byte{1, 2, 3}); err == nil {
 		t.Fatal("unknown fingerprint served")
+	}
+}
+
+// TestLoadRelationQuarantinesBadDictCode: a snapshot whose framing and
+// content hash are valid but whose dictionary codes point past the
+// dictionary — as a peer could push through Ingest — fails to load and is
+// quarantined instead of panicking in the restore path.
+func TestLoadRelationQuarantinesBadDictCode(t *testing.T) {
+	r := table.NewRelation("d", table.NewSchema(table.StrCol("s")))
+	r.MustAppend(table.String("a"))
+	r.MustAppend(table.String("b"))
+	var blob bytes.Buffer
+	if _, err := table.EncodeColumnar(table.NewColumnar(r), &blob); err != nil {
+		t.Fatal(err)
+	}
+	// Layout: 24-byte header, column "s" (7 bytes), dictionary (4 + 5 + 5),
+	// null flag, padding to 48, then one int64 code per row: row 1 at 56.
+	img := blob.Bytes()
+	if binary.LittleEndian.Uint64(img[56:64]) != 1 {
+		t.Fatal("columnar layout changed; fix the code offset")
+	}
+	binary.LittleEndian.PutUint64(img[56:64], 99)
+	secs := []section{
+		{kind: secSnapName, payload: []byte(r.Name)},
+		{kind: secSnapColumnar, payload: img},
+	}
+	fp := snapshotFingerprint(secs)
+	s := mustOpen(t, t.TempDir())
+	if _, err := s.Ingest(fp, buildFile(fileKindSnapshot, secs)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LoadRelation(fp); err == nil {
+		t.Fatal("snapshot with an out-of-range dictionary code loaded")
+	}
+	if _, err := os.Stat(s.snapPath(fp) + corruptExt); err != nil {
+		t.Fatalf("snapshot not quarantined: %v", err)
 	}
 }

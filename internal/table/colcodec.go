@@ -5,16 +5,16 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"unsafe"
 )
 
 // This file implements the binary snapshot codec for Columnar: a compact,
 // versioned, deterministic encoding of every captured column — dictionaries,
-// null masks, typed payloads, posting lists, raw fallbacks — designed so a
-// decoder can alias the large arrays straight out of a memory-mapped file
-// instead of copying them. All variable-length fields are length-prefixed
-// and all aliasable arrays are 8-byte aligned relative to the start of the
-// encoding, so a blob placed at an 8-aligned file offset maps zero-copy.
+// null masks, typed payloads, posting lists, raw fallbacks. All
+// variable-length fields are length-prefixed, and the large arrays start
+// 8-byte aligned relative to the start of the encoding. The padding serves
+// no reader any more (the decoder always copies), but it is part of the
+// on-disk format: changing it would change every snapshot's bytes and with
+// them its content fingerprint.
 //
 // The encoding is canonical: one Columnar always encodes to the same bytes
 // (posting lists are written in ascending value order), which lets the
@@ -31,14 +31,6 @@ const (
 	encDict                // dictionary-coded string payload
 	encRaw                 // kind-mixed raw Value fallback
 )
-
-// hostLittleEndian reports whether the running host stores integers
-// little-endian — the byte order of the encoding. On big-endian hosts the
-// decoder copies instead of aliasing.
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
 
 type colEnc struct {
 	w   io.Writer
@@ -142,15 +134,19 @@ func encodeTypedCol(e *colEnc, d *colData) {
 	}
 	e.u8(hasNull)
 	e.pad8()
-	if hostLittleEndian && len(d.vals) > 0 {
-		e.bytes(unsafe.Slice((*byte)(unsafe.Pointer(&d.vals[0])), len(d.vals)*8))
-	} else {
-		for _, v := range d.vals {
-			e.i64(v)
-		}
+	b := make([]byte, 0, 8*len(d.vals))
+	for _, v := range d.vals {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
+	e.bytes(b)
 	if d.null != nil {
-		e.bytes(boolsAsBytes(d.null))
+		mask := make([]byte, len(d.null))
+		for i, isNull := range d.null {
+			if isNull {
+				mask[i] = 1
+			}
+		}
+		e.bytes(mask)
 		e.pad8()
 	}
 	// Posting lists, ascending by value so the encoding is canonical. The
@@ -169,18 +165,13 @@ func encodeTypedCol(e *colEnc, d *colData) {
 		total += len(d.post[v])
 	}
 	e.pad8()
-	if hostLittleEndian && total > 0 {
-		for _, v := range vals {
-			sl := d.post[v]
-			e.bytes(unsafe.Slice((*byte)(unsafe.Pointer(&sl[0])), len(sl)*4))
-		}
-	} else {
-		for _, v := range vals {
-			for _, r := range d.post[v] {
-				e.u32(uint32(r))
-			}
+	b = make([]byte, 0, 4*total)
+	for _, v := range vals {
+		for _, r := range d.post[v] {
+			b = binary.LittleEndian.AppendUint32(b, uint32(r))
 		}
 	}
+	e.bytes(b)
 	e.pad8()
 }
 
@@ -197,18 +188,10 @@ func encodeRawCol(e *colEnc, d *colData) {
 	e.pad8()
 }
 
-func boolsAsBytes(b []bool) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&b[0])), len(b))
-}
-
 // colDec is the decoding cursor over one encoded blob.
 type colDec struct {
-	data  []byte
-	off   int
-	alias bool
+	data []byte
+	off  int
 }
 
 var errShortBlob = fmt.Errorf("table: columnar blob truncated")
@@ -271,18 +254,11 @@ func (d *colDec) pad8() error {
 	return nil
 }
 
-// int64s returns n decoded int64 values, aliasing the blob when permitted
-// and the host byte order matches the encoding.
+// int64s returns n decoded int64 values.
 func (d *colDec) int64s(n int) ([]int64, error) {
 	b, err := d.take(n * 8)
 	if err != nil {
 		return nil, err
-	}
-	if n == 0 {
-		return []int64{}, nil
-	}
-	if d.alias && hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n), nil
 	}
 	out := make([]int64, n)
 	for i := range out {
@@ -297,12 +273,6 @@ func (d *colDec) int32s(n int) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return []int32{}, nil
-	}
-	if d.alias && hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n), nil
-	}
 	out := make([]int32, n)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
@@ -310,40 +280,29 @@ func (d *colDec) int32s(n int) ([]int32, error) {
 	return out, nil
 }
 
-// bools returns n decoded bools (a null mask), aliasing when permitted.
+// bools returns n decoded bools (a null mask).
 func (d *colDec) bools(n int) ([]bool, error) {
 	b, err := d.take(n)
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return []bool{}, nil
-	}
-	for _, v := range b {
+	out := make([]bool, n)
+	for i, v := range b {
 		if v > 1 {
 			return nil, fmt.Errorf("table: columnar blob: null mask byte %d out of range", v)
 		}
-	}
-	if d.alias {
-		return unsafe.Slice((*bool)(unsafe.Pointer(&b[0])), n), nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = b[i] == 1
+		out[i] = v == 1
 	}
 	return out, nil
 }
 
 // DecodeColumnar reconstructs a snapshot from data, which must hold exactly
-// one encoded blob (as produced by EncodeColumnar). With alias set, the
-// large arrays — typed payloads, null masks, posting row ids — point into
-// data instead of being copied; the caller then guarantees data stays valid
-// and unmodified (e.g. a memory-mapped, immutable snapshot file) for the
-// lifetime of the returned Columnar. Dictionaries and raw values are always
-// copied. Any structural inconsistency fails with an error; DecodeColumnar
-// never returns a partially decoded snapshot.
-func DecodeColumnar(data []byte, alias bool) (*Columnar, error) {
-	d := &colDec{data: data, alias: alias}
+// one encoded blob (as produced by EncodeColumnar). Every array is copied
+// out of data, so the caller may reuse data once DecodeColumnar returns.
+// Any structural inconsistency fails with an error; DecodeColumnar never
+// returns a partially decoded snapshot.
+func DecodeColumnar(data []byte) (*Columnar, error) {
+	d := &colDec{data: data}
 	magic, err := d.take(8)
 	if err != nil {
 		return nil, err
@@ -366,16 +325,24 @@ func DecodeColumnar(data []byte, alias bool) (*Columnar, error) {
 	if _, err := d.u32(); err != nil { // reserved
 		return nil, err
 	}
+	if ncols == 0 && nrows > 0 { // no column body bounds nrows by the blob size
+		return nil, fmt.Errorf("table: columnar blob: %d rows without columns", nrows)
+	}
 	if int(ncols)*6 > d.remaining() { // name prefix + type + kind each
 		return nil, errShortBlob
 	}
 	cols := make([]Column, ncols)
 	kinds := make([]uint8, ncols)
+	seen := make(map[string]bool, ncols)
 	for j := range cols {
 		name, err := d.str()
 		if err != nil {
 			return nil, err
 		}
+		if seen[name] { // NewSchema panics on duplicate names
+			return nil, fmt.Errorf("table: columnar blob: duplicate column %q", name)
+		}
+		seen[name] = true
 		typ, err := d.u8()
 		if err != nil {
 			return nil, err
@@ -460,6 +427,13 @@ func decodeTypedCol(d *colDec, nrows int, hasDict bool) (*colData, error) {
 		}
 		if err := d.pad8(); err != nil {
 			return nil, err
+		}
+	}
+	if cd.dict != nil { // Relation and Dict.Str index the dictionary by code
+		for i, v := range cd.vals {
+			if (cd.null == nil || !cd.null[i]) && (v < 0 || v >= int64(len(cd.dict.strs))) {
+				return nil, fmt.Errorf("row %d: dictionary code %d out of range [0, %d)", i, v, len(cd.dict.strs))
+			}
 		}
 	}
 	ndistinct, err := d.u32()
@@ -555,8 +529,7 @@ func decodeRawCol(d *colDec, nrows int) (*colData, error) {
 // with the given name. It requires every column captured; the result is
 // cell-for-cell identical to the relation the snapshot was built from, so a
 // full-column snapshot is a lossless relation encoding. The returned
-// relation owns its rows — it never aliases the snapshot (or its backing
-// file), so the snapshot may be unmapped once Relation returns.
+// relation owns its rows; it shares nothing with the snapshot.
 func (c *Columnar) Relation(name string) (*Relation, error) {
 	for j := 0; j < c.schema.Len(); j++ {
 		if c.cols[j] == nil {

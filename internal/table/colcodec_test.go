@@ -78,15 +78,12 @@ func TestColumnarCodecRoundTrip(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		r := randomRelation(rng, iter%3 == 0)
 		c := NewColumnar(r)
-		enc := encodeToBytes(t, c)
-		for _, alias := range []bool{false, true} {
-			got, err := DecodeColumnar(enc, alias)
-			if err != nil {
-				t.Fatalf("iter %d alias=%v: decode: %v", iter, alias, err)
-			}
-			if err := columnarsEquivalent(c, got); err != nil {
-				t.Fatalf("iter %d alias=%v: %v", iter, alias, err)
-			}
+		got, err := DecodeColumnar(encodeToBytes(t, c))
+		if err != nil {
+			t.Fatalf("iter %d: decode: %v", iter, err)
+		}
+		if err := columnarsEquivalent(c, got); err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
 		}
 	}
 }
@@ -113,7 +110,7 @@ func TestColumnarCodecPartialCapture(t *testing.T) {
 	r.MustAppend(Int(2), String("y"), Int(20))
 	c := NewColumnar(r, "a", "c")
 	enc := encodeToBytes(t, c)
-	got, err := DecodeColumnar(enc, false)
+	got, err := DecodeColumnar(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -135,7 +132,7 @@ func TestColumnarRelationLossless(t *testing.T) {
 	for iter := 0; iter < 100; iter++ {
 		r := randomRelation(rng, iter%2 == 0)
 		enc := encodeToBytes(t, NewColumnar(r))
-		got, err := DecodeColumnar(enc, true)
+		got, err := DecodeColumnar(enc)
 		if err != nil {
 			t.Fatalf("iter %d: decode: %v", iter, err)
 		}
@@ -172,7 +169,7 @@ func TestColumnarDecodeRejectsCorruption(t *testing.T) {
 	}
 	enc := encodeToBytes(t, NewColumnar(r))
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := DecodeColumnar(enc[:cut], false); err == nil {
+		if _, err := DecodeColumnar(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded without error", cut)
 		}
 	}
@@ -185,12 +182,12 @@ func TestColumnarDecodeRejectsCorruption(t *testing.T) {
 					t.Fatalf("byte flip at %d panicked: %v", off, p)
 				}
 			}()
-			got, err := DecodeColumnar(mut, false)
-			_ = got
-			_ = err
+			if got, err := DecodeColumnar(mut); err == nil {
+				got.Relation("g")
+			}
 		}()
 	}
-	if _, err := DecodeColumnar(append(bytes.Clone(enc), 0, 0, 0, 0, 0, 0, 0, 0), false); err == nil {
+	if _, err := DecodeColumnar(append(bytes.Clone(enc), 0, 0, 0, 0, 0, 0, 0, 0)); err == nil {
 		t.Fatal("trailing bytes decoded without error")
 	}
 }
@@ -198,7 +195,7 @@ func TestColumnarDecodeRejectsCorruption(t *testing.T) {
 func TestColumnarCodecEmpty(t *testing.T) {
 	r := NewRelation("e", NewSchema(IntCol("a"), StrCol("b")))
 	enc := encodeToBytes(t, NewColumnar(r))
-	got, err := DecodeColumnar(enc, true)
+	got, err := DecodeColumnar(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -209,4 +206,50 @@ func TestColumnarCodecEmpty(t *testing.T) {
 	if back.Len() != 0 {
 		t.Fatalf("got %d rows, want 0", back.Len())
 	}
+}
+
+// TestColumnarDecodeRejectsDictCodeOutOfRange: a dictionary column whose
+// non-null codes fall outside the dictionary must fail to decode, not
+// panic later in Relation. Codes under null rows are not looked up.
+func TestColumnarDecodeRejectsDictCodeOutOfRange(t *testing.T) {
+	r := NewRelation("d", NewSchema(StrCol("s")))
+	r.MustAppend(String("a"))
+	r.MustAppend(String("b"))
+	r.MustAppend(Null())
+	for _, bad := range []int64{2, 99, -1} {
+		c := NewColumnar(r)
+		c.cols[0].vals[1] = bad
+		if _, err := DecodeColumnar(encodeToBytes(t, c)); err == nil {
+			t.Fatalf("dictionary code %d decoded without error", bad)
+		}
+	}
+	c := NewColumnar(r)
+	c.cols[0].vals[2] = 99 // under the null row
+	got, err := DecodeColumnar(encodeToBytes(t, c))
+	if err != nil {
+		t.Fatalf("code under a null row rejected: %v", err)
+	}
+	if _, err := got.Relation("d"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzDecodeColumnar: no input may make DecodeColumnar, or Relation on
+// what it accepts, panic.
+func FuzzDecodeColumnar(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 4; i++ {
+		var buf bytes.Buffer
+		if _, err := EncodeColumnar(NewColumnar(randomRelation(rng, i%2 == 0)), &buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := DecodeColumnar(data)
+		if err != nil {
+			return
+		}
+		c.Relation("f")
+	})
 }
