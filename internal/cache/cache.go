@@ -61,9 +61,8 @@ type Stats struct {
 // identical keys, so the race cannot occur there, and either value is a
 // valid result for the key in any case (keys are content addresses).
 type Cache struct {
-	lru        *LRU[[]byte]
-	maxEntries int
-	replayed   int // set once by Open
+	lru      *LRU[[]byte]
+	replayed int // set once by Open
 
 	logMu    sync.Mutex
 	log      *os.File // nil when memory-only (or closed)
@@ -81,7 +80,7 @@ func Open(dir string, maxEntries int) (*Cache, error) {
 	if maxEntries <= 0 {
 		maxEntries = 1024
 	}
-	c := &Cache{lru: NewLRU[[]byte](maxEntries), maxEntries: maxEntries}
+	c := &Cache{lru: NewLRU[[]byte](maxEntries)}
 	if dir == "" {
 		return c, nil
 	}
@@ -123,7 +122,7 @@ func Open(dir string, maxEntries int) (*Cache, error) {
 // evicted records) has outgrown the cache capacity. Caller holds logMu, or
 // has exclusive access during Open.
 func (c *Cache) needsCompaction() bool {
-	return c.appended-c.lru.Len() > c.maxEntries
+	return c.appended-c.lru.Len() > c.lru.maxEntries
 }
 
 // compact rewrites the log to exactly the live LRU contents (oldest first,

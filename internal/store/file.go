@@ -25,7 +25,7 @@ import (
 // sections. Each section starts at an 8-byte-aligned offset with a 16-byte
 // header — kind, CRC-32 (IEEE) of the payload, payload length — then the
 // payload, zero-padded to the next 8-byte boundary. The alignment is part
-// of the pinned file format; the reader no longer relies on it.
+// of the pinned file format; the reader does not rely on it.
 
 var fileMagic = [8]byte{'L', 'S', 'S', 'T', 'O', 'R', '1', '\n'}
 

@@ -11,10 +11,10 @@ import (
 // versioned, deterministic encoding of every captured column — dictionaries,
 // null masks, typed payloads, posting lists, raw fallbacks. All
 // variable-length fields are length-prefixed, and the large arrays start
-// 8-byte aligned relative to the start of the encoding. The padding serves
-// no reader any more (the decoder always copies), but it is part of the
-// on-disk format: changing it would change every snapshot's bytes and with
-// them its content fingerprint.
+// 8-byte aligned relative to the start of the encoding. The decoder does
+// not rely on the alignment, but the padding is part of the on-disk
+// format: changing it would change every snapshot's bytes and with them
+// its content fingerprint.
 //
 // The encoding is canonical: one Columnar always encodes to the same bytes
 // (posting lists are written in ascending value order), which lets the
@@ -134,11 +134,9 @@ func encodeTypedCol(e *colEnc, d *colData) {
 	}
 	e.u8(hasNull)
 	e.pad8()
-	b := make([]byte, 0, 8*len(d.vals))
 	for _, v := range d.vals {
-		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		e.i64(v)
 	}
-	e.bytes(b)
 	if d.null != nil {
 		mask := make([]byte, len(d.null))
 		for i, isNull := range d.null {
@@ -158,20 +156,16 @@ func encodeTypedCol(e *colEnc, d *colData) {
 	}
 	sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
 	e.u32(uint32(len(vals)))
-	total := 0
 	for _, v := range vals {
 		e.i64(v)
 		e.u32(uint32(len(d.post[v])))
-		total += len(d.post[v])
 	}
 	e.pad8()
-	b = make([]byte, 0, 4*total)
 	for _, v := range vals {
 		for _, r := range d.post[v] {
-			b = binary.LittleEndian.AppendUint32(b, uint32(r))
+			e.u32(uint32(r))
 		}
 	}
-	e.bytes(b)
 	e.pad8()
 }
 
